@@ -21,8 +21,8 @@ from .fakegen import (
     word_edit_distance,
     word_shuffle,
 )
-from .classifier import DetectorModel, MlpHead, TrainConfig, classify, evaluate, train
-from .encoder import SentenceEncoder, lstm_step
+from .classifier import DetectorModel, MlpHead, TrainConfig, evaluate, train
+from .encoder import SentenceEncoder
 from .probe import ProbeConfig, ProbeDataset, run_probes, train_probe
 
 __all__ = [
@@ -45,11 +45,9 @@ __all__ = [
     "DetectorModel",
     "MlpHead",
     "TrainConfig",
-    "classify",
     "evaluate",
     "train",
     "SentenceEncoder",
-    "lstm_step",
     "ProbeConfig",
     "ProbeDataset",
     "run_probes",

@@ -98,15 +98,6 @@ class MlpHead:
         return nc.add(tape, nc.matmul(tape, h, leaf(self.w3)), leaf(self.b3))
 
 
-def classify(z: np.ndarray, head: MlpHead) -> float:
-    """Probability that the encoding belongs to a real sentence."""
-    z = np.asarray(z)
-    if z.ndim != 1 or z.shape[0] != head.in_dim:
-        raise ShapeMismatch(f"encoding shape {z.shape}, head expects ({head.in_dim},)")
-    logits = head.forward(None, nc.Tensor(z[None, :]))
-    return float(nc.softmax(logits.data)[0, REAL])
-
-
 class DetectorModel:
     """Encoder plus classification head; the trainable unit."""
 
@@ -206,28 +197,19 @@ def train(
     valid_labels = np.array([ex.label for ex in valid_data], dtype=np.int64)
 
     params = model.trainable_parameters(cfg.freeze_embeddings)
-    encoder = model.encoder
-    prepared = [
-        (np.array(encoder.vocab.indices(ex.sentence.tokens), dtype=np.int64), ex.label)
-        for ex in train_data
-    ]
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
     report = TrainReport()
     metrics_file = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     try:
         for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(len(prepared))
+            order = rng.permutation(len(train_data))
             loss_sum = 0.0
             correct = 0
             for start in range(0, len(order), cfg.batch_size):
                 batch_ids = order[start : start + cfg.batch_size]
-                rows = [prepared[i] for i in batch_ids]
-                lengths = np.array([len(r[0]) for r in rows], dtype=np.int64)
-                idx = np.zeros((len(rows), int(lengths.max())), dtype=np.int64)
-                for r, (ids, _) in enumerate(rows):
-                    idx[r, : len(ids)] = ids
-                labels = np.array([r[1] for r in rows], dtype=np.int64)
+                idx, lengths = model.encoder.prepare_batch([train_data[i].sentence for i in batch_ids])
+                labels = train_labels[batch_ids]
                 try:
                     tape = nc.Tape()
                     loss, probs = model.batch_loss(tape, idx, lengths, labels)
@@ -238,13 +220,13 @@ def train(
                     nc.sgd_step(params, lr)
                 except NonFiniteValue as e:
                     raise DivergedTraining(f"epoch {epoch}: {e}") from e
-                loss_sum += loss_val * len(rows)
+                loss_sum += loss_val * len(batch_ids)
                 correct += int(((probs[:, REAL] >= 0.5).astype(np.int64) == labels).sum())
             valid_acc = _accuracy(model.predict(valid_sentences, cfg.batch_size), valid_labels)
             stats = EpochStats(
                 epoch=epoch,
-                train_loss=loss_sum / len(prepared),
-                train_accuracy=correct / len(prepared),
+                train_loss=loss_sum / len(train_data),
+                train_accuracy=correct / len(train_data),
                 valid_accuracy=valid_acc,
                 learning_rate=lr,
             )

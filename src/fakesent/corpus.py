@@ -4,7 +4,6 @@ File formats:
   corpus     UTF-8 text, one sentence per line (blank lines skipped on read)
   embeddings one line per token: the token then d decimal floats, whitespace
              separated
-  vocabulary one line per entry "token<TAB>index", written in index order
 """
 
 from __future__ import annotations
@@ -94,31 +93,6 @@ class Vocabulary:
     def indices(self, tokens: Iterable[str]) -> list[int]:
         get = self._index.get
         return [get(t, UNK_INDEX) for t in tokens]
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for i, tok in enumerate(self._tokens):
-                f.write(f"{tok}\t{i}\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        tokens = []
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    tok, idx = line.split("\t")
-                    index = int(idx)
-                except ValueError:
-                    raise MalformedLine(f"{path}:{lineno + 1}: expected 'token<TAB>index'")
-                if index != len(tokens):
-                    raise MalformedLine(f"{path}:{lineno + 1}: indices must be contiguous")
-                tokens.append(tok)
-        if len(tokens) < 2 or tokens[0] != PAD or tokens[1] != UNK:
-            raise MalformedLine(f"{path}: missing reserved {PAD}/{UNK} rows")
-        return cls(tokens[2:])
 
 
 def build_vocab(corpus: Iterable[Sentence], min_count: int = 1) -> Vocabulary:
@@ -215,12 +189,6 @@ def read_corpus(path) -> Iterator[Sentence]:
             if not line.strip():
                 continue
             yield tokenize(line, id=str(lineno))
-
-
-def write_corpus(path, sentences: Iterable[Sentence]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for sent in sentences:
-            f.write(sent.text() + "\n")
 
 
 def load_corpus(path) -> list[Sentence]:

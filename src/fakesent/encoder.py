@@ -62,46 +62,6 @@ def _leaf(tape: nc.Tape | None, param: nc.Parameter) -> nc.Tensor:
     return tape.leaf(param) if tape is not None else nc.Tensor(param.value)
 
 
-def _cell(tape, pre_x, h_prev, c_prev, u_leaf, hidden):
-    """Gate algebra for one step, from a precomputed input projection.
-
-    pre_x is W x_t + b for this step; the recurrent term U h_prev is added
-    here. i, f, o are sigmoid gates, g the tanh candidate:
-    c_t = f * c_prev + i * g ; h_t = o * tanh(c_t).
-    """
-    pre = nc.add(tape, pre_x, nc.matmul(tape, h_prev, u_leaf, transpose_b=True))
-    i = nc.sigmoid(tape, nc.narrow(tape, pre, 1, 0, hidden))
-    f = nc.sigmoid(tape, nc.narrow(tape, pre, 1, hidden, hidden))
-    o = nc.sigmoid(tape, nc.narrow(tape, pre, 1, 2 * hidden, hidden))
-    g = nc.tanh(tape, nc.narrow(tape, pre, 1, 3 * hidden, hidden))
-    c = nc.add(tape, nc.mul(tape, f, c_prev), nc.mul(tape, i, g))
-    h = nc.mul(tape, o, nc.tanh(tape, c))
-    return h, c
-
-
-def lstm_step(
-    direction: LstmDirection,
-    x_t: nc.Tensor,
-    h_prev: nc.Tensor,
-    c_prev: nc.Tensor,
-    tape: nc.Tape | None = None,
-    w_leaf: nc.Tensor | None = None,
-    u_leaf: nc.Tensor | None = None,
-    b_leaf: nc.Tensor | None = None,
-) -> tuple[nc.Tensor, nc.Tensor]:
-    """One LSTM step on a (batch, d) input; returns (h_t, c_t), (batch, H) each."""
-    if x_t.data.ndim != 2 or x_t.data.shape[1] != direction.w.value.shape[1]:
-        raise ShapeMismatch(f"lstm_step input shape {x_t.data.shape}")
-    if w_leaf is None:
-        w_leaf = _leaf(tape, direction.w)
-    if u_leaf is None:
-        u_leaf = _leaf(tape, direction.u)
-    if b_leaf is None:
-        b_leaf = _leaf(tape, direction.b)
-    pre_x = nc.add(tape, nc.matmul(tape, x_t, w_leaf, transpose_b=True), b_leaf)
-    return _cell(tape, pre_x, h_prev, c_prev, u_leaf, direction.hidden)
-
-
 class SentenceEncoder:
     """Embedding + BiLSTM + temporal max-pooling; output width is 2H."""
 
@@ -165,23 +125,15 @@ class SentenceEncoder:
         hidden = direction.hidden
         x = nc.reverse_within(tape, emb, lengths) if reverse else emb
         w_leaf = _leaf(tape, direction.w)
-        u_leaf = _leaf(tape, direction.u)
         b_leaf = _leaf(tape, direction.b)
-        # input projections for every step at once; per-step slices below
+        # input projections for every step at once; the recurrence adds U h_{t-1}
         flat = nc.reshape(tape, x, (b * t, d))
         proj = nc.add(tape, nc.matmul(tape, flat, w_leaf, transpose_b=True), b_leaf)
         proj = nc.reshape(tape, proj, (b, t, GATES * hidden))
-        zeros = np.zeros((b, hidden), dtype=emb.data.dtype)
-        h, c = nc.constant(zeros), nc.constant(zeros.copy())
-        states = []
-        for step in range(t):
-            pre_x = nc.pick(tape, proj, axis=1, index=step)
-            h, c = _cell(tape, pre_x, h, c, u_leaf, hidden)
-            states.append(h)
-        stacked = nc.stack(tape, states, axis=1)
+        states = nc.lstm_sequence(tape, proj, _leaf(tape, direction.u))
         if reverse:
-            stacked = nc.reverse_within(tape, stacked, lengths)
-        return stacked
+            states = nc.reverse_within(tape, states, lengths)
+        return states
 
     def forward_batch(
         self, tape: nc.Tape | None, idx: np.ndarray, lengths: np.ndarray

@@ -6,6 +6,14 @@ when a Tape is supplied, records a closure implementing its backward rule.
 ``backward`` replays the tape in reverse and accumulates gradients into the
 Parameters that were registered as leaves.
 
+The LSTM recurrence is one fused op, ``lstm_sequence``: it runs every time
+step in one loop and records a single hand-written backpropagation-through-
+time rule, so a training step's tape length does not grow with sentence
+length. Its arithmetic is, operation for operation, that of the per-step
+composition of ``pick``, ``matmul``, ``add``, ``narrow``, ``sigmoid``,
+``tanh``, ``mul`` and ``stack``, so both give bit-identical values and
+gradients; the test suite keeps that composition as the op's oracle.
+
 Determinism notes, load-bearing for the batch/unbatched bit-identity
 guarantee of the encoder:
 
@@ -16,7 +24,8 @@ guarantee of the encoder:
 * All other forward ops are elementwise or pure indexing, which numpy
   evaluates value-deterministically.
 
-Every forward output is checked for NaN/Inf and raises NonFiniteValue.
+Every forward output (in ``lstm_sequence``, every step's pre-activation) is
+checked for NaN/Inf and raises NonFiniteValue.
 """
 
 from __future__ import annotations
@@ -43,9 +52,9 @@ __all__ = [
     "pick",
     "sigmoid",
     "tanh",
+    "lstm_sequence",
     "softmax_cross_entropy",
     "softmax",
-    "max_over_axis",
     "max_over_time",
     "rows",
     "stack",
@@ -284,11 +293,14 @@ def pick(tape: Tape | None, x: Tensor, axis: int, index: int) -> Tensor:
     return out
 
 
-def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
-    xd = x.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # overflow-free split form; elementwise, so value-deterministic
-    z = np.exp(-np.abs(xd))
-    out_d = np.where(xd >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
+    out_d = _sigmoid(x.data)
     out = Tensor(_check_finite(out_d, "sigmoid"))
     if tape is not None:
         tape.record(out, (x,), lambda g: (g * (out_d * (1.0 - out_d)),))
@@ -300,6 +312,71 @@ def tanh(tape: Tape | None, x: Tensor) -> Tensor:
     out = Tensor(_check_finite(out_d, "tanh"))
     if tape is not None:
         tape.record(out, (x,), lambda g: (g * (1.0 - out_d * out_d),))
+    return out
+
+
+def lstm_sequence(tape: Tape | None, proj: Tensor, u: Tensor) -> Tensor:
+    """LSTM recurrence over every step of a (batch, T, 4H) input projection.
+
+    ``proj[:, t]`` is W x_t + b and ``u`` the (4H, H) recurrent weights;
+    gate order inside each 4H block is (input, forget, output, candidate).
+    From a zero initial state, each step computes
+    pre = proj[:, t] + h U^T ; c = f * c + i * g ; h = o * tanh(c)
+    and the (batch, T, H) hidden states are returned. The backward rule is
+    backpropagation through time over the stored gates, so the whole
+    recurrence is one tape record.
+    """
+    pd, ud = proj.data, u.data
+    if pd.ndim != 3 or ud.ndim != 2 or ud.shape[0] != 4 * ud.shape[1] or pd.shape[2] != ud.shape[0]:
+        raise ShapeMismatch(f"lstm_sequence projection {pd.shape} and recurrent weights {ud.shape}")
+    b, t, _ = pd.shape
+    hidden = ud.shape[1]
+    h = np.zeros((b, hidden), dtype=pd.dtype)
+    c = h.copy()
+    out_d = np.empty((b, t, hidden), dtype=pd.dtype)
+    saved = []  # per step (h_prev, c_prev, i, f, o, g, tanh(c)) for the backward rule
+    for s in range(t):
+        with np.errstate(over="ignore", invalid="ignore"):
+            pre = _check_finite(pd[:, s] + _mm(h, ud, transpose_b=True), "lstm_sequence")
+        i, f, o = (_sigmoid(pre[:, k * hidden : (k + 1) * hidden]) for k in range(3))
+        g = np.tanh(pre[:, 3 * hidden :])
+        h_prev, c_prev = h, c
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        out_d[:, s] = h
+        if tape is not None:
+            saved.append((h_prev, c_prev, i, f, o, g, tc))
+    out = Tensor(out_d)
+    if tape is not None:
+
+        def back(dout):
+            dproj = np.empty_like(pd)
+            du = np.zeros_like(ud)
+            zeros = np.zeros((b, hidden), dtype=pd.dtype)
+            dh_next, dc_next, f_next = zeros, zeros, zeros  # nothing flows back past the last step
+            for s in reversed(range(t)):
+                h_prev, c_prev, i, f, o, g, tc = saved[s]
+                # products grouped as the primitives' backward rules group them, so
+                # gradients are bit-identical to the per-step composition's
+                dh = dout[:, s] + dh_next
+                dc = dc_next * f_next + (dh * o) * (1.0 - tc * tc)
+                dpre = np.concatenate(
+                    [
+                        (dc * g) * (i * (1.0 - i)),
+                        (dc * c_prev) * (f * (1.0 - f)),
+                        (dh * tc) * (o * (1.0 - o)),
+                        (dc * i) * (1.0 - g * g),
+                    ],
+                    axis=1,
+                )
+                dproj[:, s] = dpre
+                du += dpre.T @ h_prev
+                dh_next = dpre @ ud
+                dc_next, f_next = dc, f
+            return dproj, du
+
+        tape.record(out, (proj, u), back)
     return out
 
 
@@ -344,27 +421,6 @@ def softmax_cross_entropy(
 
         tape.record(out, (logits,), back)
     return out, probs
-
-
-def max_over_axis(tape: Tape | None, x: Tensor, axis: int) -> tuple[Tensor, np.ndarray]:
-    """Maximum along ``axis``; also returns the argmax used by the backward rule.
-
-    Gradient is routed only to the argmax positions; ties go to the first
-    maximal index (np.argmax convention), which keeps the backward pass
-    deterministic.
-    """
-    am = np.argmax(x.data, axis=axis)
-    out_d = np.take_along_axis(x.data, np.expand_dims(am, axis), axis=axis).squeeze(axis)
-    out = Tensor(_check_finite(out_d, "max_over_axis"))
-    if tape is not None:
-
-        def back(g):
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(gx, np.expand_dims(am, axis), np.expand_dims(g, axis), axis=axis)
-            return (gx,)
-
-        tape.record(out, (x,), back)
-    return out, am
 
 
 def max_over_time(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> tuple[Tensor, np.ndarray]:

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import numcore as nc
 from .corpus import Sentence, Vocabulary
 from .errors import DegenerateBins, InsufficientExamples
 
@@ -206,12 +207,6 @@ class ProbeResult:
         }
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def fit_logistic(
     x: np.ndarray,
     y: np.ndarray,
@@ -241,7 +236,7 @@ def fit_logistic(
         return ce + l2 * float((w_ * w_).sum())
 
     def grad_of(w_, b_):
-        probs = _softmax_rows(x @ w_ + b_)
+        probs = nc.softmax(x @ w_ + b_)
         r = (probs - onehot) / n
         return x.T @ r + 2.0 * l2 * w_, r.sum(axis=0)
 
@@ -313,20 +308,23 @@ def run_probes(
     seed: int = 0,
     cfg: ProbeConfig | None = None,
 ) -> dict[str, ProbeResult]:
-    """Generate the requested probe datasets, encode every sentence they
-    contain with the frozen encoder, and train the probes."""
-    results = {}
+    """Generate the requested probe datasets, encode each distinct sentence
+    they contain once with the frozen encoder, and train the probes.
+
+    Tasks share sentences, and a sentence's encoding does not depend on the
+    batch it is encoded in, so one encoding per sentence id serves them all.
+    """
+    datasets = {}
     for task in tasks:
         if task == SENTLEN:
-            dataset = gen_sentlen(sentences, seed=seed)
+            datasets[task] = gen_sentlen(sentences, seed=seed)
         elif task == WC:
-            dataset = gen_wc(sentences, vocab=encoder.vocab, seed=seed)
+            datasets[task] = gen_wc(sentences, vocab=encoder.vocab, seed=seed)
         elif task == BSHIFT:
-            dataset = gen_bshift(sentences, seed=seed)
+            datasets[task] = gen_bshift(sentences, seed=seed)
         else:
             raise ValueError(f"unknown probing task {task!r}")
-        needed = dataset.sentences()
-        vectors = encoder.encode_batch(needed).astype(np.float64)
-        encodings = {s.id: vectors[i] for i, s in enumerate(needed)}
-        results[task] = train_probe(dataset, encodings, cfg)
-    return results
+    needed = list({s.id: s for dataset in datasets.values() for s in dataset.sentences()}.values())
+    vectors = encoder.encode_batch(needed).astype(np.float64)
+    encodings = {s.id: vectors[i] for i, s in enumerate(needed)}
+    return {task: train_probe(dataset, encodings, cfg) for task, dataset in datasets.items()}

@@ -104,28 +104,6 @@ def test_unknown_token_maps_to_unk():
     assert vocab.indices(["a", "zzz"]) == [2, cp.UNK_INDEX]
 
 
-def test_vocab_save_load_roundtrip(tmp_path):
-    vocab = cp.build_vocab(sentences([["b", "a", "a"]]))
-    p = tmp_path / "vocab.tsv"
-    vocab.save(p)
-    loaded = cp.Vocabulary.load(p)
-    assert loaded.tokens == vocab.tokens
-    assert p.read_text().splitlines()[0] == "<pad>\t0"
-
-
-def test_vocab_load_rejects_malformed(tmp_path):
-    p = tmp_path / "vocab.tsv"
-    p.write_text("<pad>\t0\n<unk>\tnot_an_int\n")
-    with pytest.raises(MalformedLine):
-        cp.Vocabulary.load(p)
-    p.write_text("<pad>\t0\n<unk>\t5\n")
-    with pytest.raises(MalformedLine):
-        cp.Vocabulary.load(p)
-    p.write_text("a\t0\nb\t1\n")
-    with pytest.raises(MalformedLine):
-        cp.Vocabulary.load(p)
-
-
 def test_load_embeddings_copies_present_rows(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("a 1.0 2.0\n")
@@ -189,11 +167,3 @@ def test_load_corpus_empty_raises(tmp_path):
     p.write_text("\n\n")
     with pytest.raises(EmptyCorpus):
         cp.load_corpus(p)
-
-
-def test_write_then_read_roundtrip(tmp_path):
-    sents = sentences([["a", "b"], ["c"]])
-    p = tmp_path / "c.txt"
-    cp.write_corpus(p, sents)
-    back = list(cp.read_corpus(p))
-    assert [s.tokens for s in back] == [s.tokens for s in sents]

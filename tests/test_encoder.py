@@ -5,8 +5,10 @@ import pytest
 
 from fakesent import numcore as nc
 from fakesent.corpus import Sentence, build_vocab, init_embeddings
-from fakesent.encoder import SentenceEncoder, init_direction, lstm_step
+from fakesent.classifier import DetectorModel
+from fakesent.encoder import SentenceEncoder, init_direction
 from fakesent.errors import EmptyDataset
+from unfused_lstm import lstm_cell, lstm_sequence_unfused
 
 
 def make_vocab(n_tokens):
@@ -49,31 +51,35 @@ def scalar_lstm_oracle(xs, w, u, b):
     return out
 
 
+def direction_states(d, xs):
+    """lstm_sequence over one sequence of inputs xs (T, dim) through d's weights."""
+    x = nc.constant(np.asarray(xs, dtype=np.float64).reshape(len(xs), -1))
+    proj = nc.add(None, nc.matmul(None, x, nc.constant(d.w.value), transpose_b=True), nc.constant(d.b.value))
+    proj = nc.reshape(None, proj, (1, len(xs), 4 * d.hidden))
+    return nc.lstm_sequence(None, proj, nc.constant(d.u.value)).data[0]
+
+
 def test_lstm_step_all_zero_parameters():
-    # i = f = o = 0.5 and g = 0, so c_t = 0.5 c_prev and h_t = 0.5 tanh(c_t)
+    # i = f = o = 0.5 and g = 0, so c stays 0 from the zero state and h is exactly zero
     d = zero_direction(dim=3, hidden=2)
-    x = nc.constant(np.array([[0.4, -1.0, 2.0]]))
-    h0 = nc.constant(np.zeros((1, 2)))
-    c0 = nc.constant(np.array([[0.8, -0.6]]))
-    h, c = lstm_step(d, x, h0, c0)
-    np.testing.assert_allclose(c.data, 0.5 * c0.data, atol=1e-15)
-    np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * c0.data), atol=1e-15)
-    # zero initial cell: both outputs exactly zero
-    h, c = lstm_step(d, x, h0, nc.constant(np.zeros((1, 2))))
-    assert np.array_equal(h.data, np.zeros((1, 2)))
-    assert np.array_equal(c.data, np.zeros((1, 2)))
+    xs = np.array([[0.4, -1.0, 2.0], [1.0, 0.0, -3.0]])
+    assert np.array_equal(direction_states(d, xs), np.zeros((2, 2)))
+    # a candidate bias b_g gives g = tanh(b_g): c_t = 0.5 c_prev + 0.5 g and h_t = 0.5 tanh(c_t)
+    d.b.value[6:] = [0.8, -0.6]
+    g = np.tanh(np.array([0.8, -0.6]))
+    c = np.zeros(2)
+    for h in direction_states(d, xs):
+        c = 0.5 * c + 0.5 * g
+        np.testing.assert_allclose(h, 0.5 * np.tanh(c), atol=1e-15)
 
 
 def test_lstm_step_scalar_input_gate_only_layout():
     # H = d = 1, input weights [1, 0, 0, 0]: only the input gate sees x
     d = zero_direction(dim=1, hidden=1)
     d.w.value[0, 0] = 1.0
-    h = nc.constant(np.zeros((1, 1)))
-    c = nc.constant(np.zeros((1, 1)))
-    for x, (eh, ec) in zip([0.0, 1.5, -2.0], scalar_lstm_oracle([0.0, 1.5, -2.0], [1, 0, 0, 0], [0] * 4, [0] * 4)):
-        h, c = lstm_step(d, nc.constant(np.array([[x]])), h, c)
-        np.testing.assert_allclose(h.data[0, 0], eh, atol=1e-14)
-        np.testing.assert_allclose(c.data[0, 0], ec, atol=1e-14)
+    xs = [0.0, 1.5, -2.0]
+    for h, (eh, _) in zip(direction_states(d, xs), scalar_lstm_oracle(xs, [1, 0, 0, 0], [0] * 4, [0] * 4)):
+        np.testing.assert_allclose(h[0], eh, atol=1e-14)
 
 
 def test_lstm_step_scalar_sequence_matches_hand_oracle():
@@ -83,36 +89,30 @@ def test_lstm_step_scalar_sequence_matches_hand_oracle():
     d.u.value[:, 0] = u
     d.b.value[:] = b
     xs = [0.7, -0.3, 1.2, 0.0, -2.0]
-    h = nc.constant(np.zeros((1, 1)))
-    c = nc.constant(np.zeros((1, 1)))
-    for x, (eh, ec) in zip(xs, scalar_lstm_oracle(xs, w, u, b)):
-        h, c = lstm_step(d, nc.constant(np.array([[x]])), h, c)
-        np.testing.assert_allclose(h.data[0, 0], eh, atol=1e-13)
-        np.testing.assert_allclose(c.data[0, 0], ec, atol=1e-13)
+    states = direction_states(d, xs)
+    assert states.shape == (5, 1)
+    for h, (eh, _) in zip(states, scalar_lstm_oracle(xs, w, u, b)):
+        np.testing.assert_allclose(h[0], eh, atol=1e-13)
 
 
 def test_lstm_step_gradients_match_finite_differences():
+    # the fused recurrence alone, on a direction's weights, at sequence lengths 1, 2 and 7
     dirn = init_direction("d", 3, 2, np.random.default_rng(5), np.float64)
     rng = np.random.default_rng(6)
-    xs = rng.standard_normal((4, 3))
+    for t in (1, 2, 7):
+        xs = nc.constant(rng.standard_normal((2 * t, 3)))
+        weights = nc.constant(rng.standard_normal((2, t, 2)))
 
-    def loss_fn(tape):
-        h = nc.constant(np.zeros((1, 2)))
-        c = nc.constant(np.zeros((1, 2)))
-        w = _l(tape, dirn.w)
-        u = _l(tape, dirn.u)
-        b = _l(tape, dirn.b)
-        for t in range(4):
-            h, c = lstm_step(dirn, nc.constant(xs[t : t + 1]), h, c, tape, w, u, b)
-        flat = nc.reshape(tape, h, (1, 2))
-        return nc.matmul(tape, flat, nc.constant(np.ones((2, 1))))
+        def loss_fn(tape):
+            w, u, b = (tape.leaf(p) if tape is not None else nc.Tensor(p.value) for p in (dirn.w, dirn.u, dirn.b))
+            proj = nc.add(tape, nc.matmul(tape, xs, w, transpose_b=True), b)
+            h = nc.lstm_sequence(tape, nc.reshape(tape, proj, (2, t, 8)), u)
+            flat = nc.reshape(tape, nc.mul(tape, h, weights), (1, 4 * t))
+            return nc.matmul(tape, flat, nc.constant(np.ones((4 * t, 1))))
 
-    def _l(tape, p):
-        return tape.leaf(p) if tape is not None else nc.Tensor(p.value)
-
-    err = nc.grad_check(loss_fn, [dirn.w, dirn.u, dirn.b], eps=1e-5, samples=40,
-                        rng=np.random.default_rng(2))
-    assert err < 1e-4
+        err = nc.grad_check(loss_fn, [dirn.w, dirn.u, dirn.b], eps=1e-5, samples=40,
+                            rng=np.random.default_rng(2))
+        assert err < 1e-6, f"T={t}"
 
 
 def test_encode_single_step_equals_its_state():
@@ -188,12 +188,14 @@ def test_loop_matches_manual_lstm_step_sequence():
     s = rand_sentence(rng, enc.vocab, 5)
     idx, lengths = enc.prepare_batch([s])
     _, u = enc.forward_batch(None, idx, lengths)
-    # forward half, recomputed step by step through the public cell
+    # forward half, recomputed step by step through the unfused cell
     emb = enc.embedding.value[idx[0]]
+    w, b, u_rec = (nc.constant(p.value) for p in (enc.fwd.w, enc.fwd.b, enc.fwd.u))
     h = nc.constant(np.zeros((1, enc.hidden)))
     c = nc.constant(np.zeros((1, enc.hidden)))
     for t in range(5):
-        h, c = lstm_step(enc.fwd, nc.constant(emb[t : t + 1]), h, c)
+        pre_x = nc.add(None, nc.matmul(None, nc.constant(emb[t : t + 1]), w, transpose_b=True), b)
+        h, c = lstm_cell(None, pre_x, h, c, u_rec)
         assert np.array_equal(u.data[0, t, : enc.hidden], h.data[0])
 
 
@@ -226,6 +228,46 @@ def test_encode_path_gradients_match_finite_differences():
     err = nc.grad_check(loss_fn, enc.parameters(), eps=1e-5, samples=80,
                         rng=np.random.default_rng(3))
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_recurrence_bit_identical_to_unfused_on_padded_batch(dtype, monkeypatch):
+    enc = make_encoder(n_tokens=15, dim=3, hidden=4, seed=16, dtype=dtype)
+    rng = np.random.default_rng(10)
+    idx, lengths = enc.prepare_batch([rand_sentence(rng, enc.vocab, n) for n in (4, 1, 7, 3)])
+    weights = nc.constant(rng.standard_normal((4, enc.out_dim)).astype(dtype))
+
+    def run():
+        tape = nc.Tape()
+        z, u = enc.forward_batch(tape, idx, lengths)
+        flat = nc.reshape(tape, nc.mul(tape, z, weights), (1, z.data.size))
+        nc.backward(tape, nc.matmul(tape, flat, nc.constant(np.ones((z.data.size, 1), dtype=dtype))))
+        grads = [p.grad.copy() for p in enc.parameters()]
+        for p in enc.parameters():
+            p.zero_grad()
+        return z.data, u.data, grads
+
+    fused = run()
+    monkeypatch.setattr(nc, "lstm_sequence", lstm_sequence_unfused)
+    oracle = run()
+    assert fused[0].dtype == dtype
+    assert np.array_equal(fused[0], oracle[0])
+    assert np.array_equal(fused[1], oracle[1])
+    for p, a, b in zip(enc.parameters(), fused[2], oracle[2]):
+        assert np.array_equal(a, b), p.name
+
+
+def test_tape_length_of_a_training_step_does_not_grow_with_length():
+    enc = make_encoder(n_tokens=15, seed=17)
+    model = DetectorModel.create(enc, 5, 3, np.random.default_rng(0))
+    rng = np.random.default_rng(11)
+    counts = []
+    for n in (3, 30):
+        idx, lengths = enc.prepare_batch([rand_sentence(rng, enc.vocab, n) for _ in range(2)])
+        tape = nc.Tape()
+        model.batch_loss(tape, idx, lengths, np.array([0, 1]))
+        counts.append(len(tape))
+    assert counts[0] == counts[1]
 
 
 def test_prepare_batch_pads_with_pad_index():

@@ -3,6 +3,7 @@ import pytest
 
 from fakesent import numcore as nc
 from fakesent.errors import NonFiniteValue, ShapeMismatch
+from unfused_lstm import lstm_sequence_unfused
 
 
 def scalar_sum(tape, x):
@@ -10,13 +11,6 @@ def scalar_sum(tape, x):
     flat = nc.reshape(tape, x, (1, x.data.size))
     ones = nc.constant(np.ones((x.data.size, 1), dtype=x.data.dtype))
     return nc.matmul(tape, flat, ones)
-
-
-def test_max_over_axis_forward():
-    x = nc.constant(np.array([[1.0, -2.0], [0.0, 3.0]]))
-    out, am = nc.max_over_axis(None, x, axis=0)
-    assert np.array_equal(out.data, [1.0, 3.0])
-    assert np.array_equal(am, [0, 1])
 
 
 def test_sigmoid_at_zero():
@@ -129,14 +123,14 @@ def test_softmax_cross_entropy_gradient_matches_probs_minus_onehot():
 
 
 def test_max_backward_routes_to_argmax_and_preserves_mass():
-    x = nc.Parameter("x", np.array([[1.0, -2.0], [0.0, 3.0], [1.0, 3.0]]))
+    x = nc.Parameter("x", np.array([[[1.0, -2.0], [0.0, 3.0], [1.0, 3.0]]]))
     tape = nc.Tape()
-    out, am = nc.max_over_axis(tape, tape.leaf(x), axis=0)
+    out, am = nc.max_over_time(tape, tape.leaf(x), np.array([3]))
     loss = scalar_sum(tape, out)
     nc.backward(tape, loss)
-    # ties go to the first maximal index: column 0 max is shared by rows 0 and 2
-    assert np.array_equal(am, [0, 1])
-    assert np.array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    # ties go to the first maximal index: feature 0's max is shared by steps 0 and 2
+    assert np.array_equal(am, [[0, 1]])
+    assert np.array_equal(x.grad, [[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]])
     assert x.grad.sum() == 2.0  # one unit per pooled coordinate
 
 
@@ -147,6 +141,49 @@ def test_max_over_time_masks_padding():
     out, am = nc.max_over_time(None, nc.constant(data), np.array([2, 3]))
     assert np.array_equal(out.data, [[2.0, -5.0], [4.0, 7.0]])
     assert np.array_equal(am, [[1, 0], [1, 2]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_sequence_bit_identical_to_unfused_oracle(dtype):
+    rng = np.random.default_rng(21)
+    b, t, hidden = 3, 6, 4
+    proj = nc.Parameter("proj", rng.standard_normal((b, t, 4 * hidden)).astype(dtype))
+    u = nc.Parameter("u", (0.5 * rng.standard_normal((4 * hidden, hidden))).astype(dtype))
+    weights = nc.constant(rng.standard_normal((b, t, hidden)).astype(dtype))
+    results = []
+    for op in (nc.lstm_sequence, lstm_sequence_unfused):
+        tape = nc.Tape()
+        out = op(tape, tape.leaf(proj), tape.leaf(u))
+        nc.backward(tape, scalar_sum(tape, nc.mul(tape, out, weights)))
+        results.append((out.data, proj.grad.copy(), u.grad.copy()))
+        proj.zero_grad()
+        u.zero_grad()
+    (fused, fused_dproj, fused_du), (oracle, oracle_dproj, oracle_du) = results
+    assert fused.dtype == dtype and fused.shape == (b, t, hidden)
+    assert np.array_equal(fused, oracle)
+    assert np.array_equal(fused_dproj, oracle_dproj)
+    assert np.array_equal(fused_du, oracle_du)
+
+
+def test_lstm_sequence_overflow_raises():
+    # step 0 saturates every gate (h = tanh(1) in both units); step 1's
+    # recurrent product 2 * tanh(1) * 1.5e308 overflows
+    proj = nc.constant(np.full((1, 2, 8), 50.0))
+    u = nc.constant(np.full((8, 2), 1.5e308))
+    with pytest.raises(NonFiniteValue):
+        nc.lstm_sequence(None, proj, u)
+    assert np.all(np.isfinite(nc.lstm_sequence(None, nc.constant(proj.data[:, :1]), u).data))
+
+
+def test_lstm_sequence_shape_mismatch():
+    proj = nc.constant(np.zeros((2, 3, 8)))
+    for bad_proj, bad_u in [
+        (proj, nc.constant(np.zeros((12, 3)))),  # 4H = 12 but projection is 8 wide
+        (proj, nc.constant(np.zeros((8, 3)))),  # U is not (4H, H)
+        (nc.constant(np.zeros((6, 8))), nc.constant(np.zeros((8, 2)))),  # projection not 3-D
+    ]:
+        with pytest.raises(ShapeMismatch):
+            nc.lstm_sequence(None, bad_proj, bad_u)
 
 
 def test_concat_and_narrow_roundtrip_gradients():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fakesent import probe as pb
-from fakesent.corpus import Sentence, build_vocab
+from fakesent.corpus import Sentence, build_vocab, init_embeddings
+from fakesent.encoder import SentenceEncoder
 from fakesent.errors import DegenerateBins, InsufficientExamples
 
 
@@ -239,3 +240,39 @@ def test_config_rejects_bad_grid():
         pb.ProbeConfig(l2_grid=())
     with pytest.raises(ValueError):
         pb.ProbeConfig(l2_grid=(0.1, -1.0))
+
+
+def test_run_probes_encodes_each_sentence_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    words = [f"t{i:02d}" for i in range(30)]
+    corpus = [sent([words[j] for j in rng.integers(0, 30, size=rng.integers(3, 15))], str(k))
+              for k in range(800)]
+    vocab = build_vocab(corpus)
+    erng = np.random.default_rng(5)
+    encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 4, erng), 4, erng)
+    cfg = pb.ProbeConfig(l2_grid=(1e-2,), max_iterations=50)
+    # oracle: every task encodes its own sentences in a call of its own
+    datasets = {
+        "sentlen": pb.gen_sentlen(corpus, seed=3),
+        "wc": pb.gen_wc(corpus, vocab=vocab, seed=3),
+        "bshift": pb.gen_bshift(corpus, seed=3),
+    }
+    expected = {}
+    for task, dataset in datasets.items():
+        needed = dataset.sentences()
+        vectors = encoder.encode_batch(needed).astype(np.float64)
+        expected[task] = pb.train_probe(dataset, {s.id: vectors[i] for i, s in enumerate(needed)}, cfg)
+
+    seen = []
+    encode_batch = SentenceEncoder.encode_batch
+
+    def recording(self, sentences, batch_size=64):
+        seen.extend(s.id for s in sentences)
+        return encode_batch(self, sentences, batch_size)
+
+    monkeypatch.setattr(SentenceEncoder, "encode_batch", recording)
+    results = pb.run_probes(encoder, corpus, seed=3, cfg=cfg)
+    assert {t: r.to_dict() for t, r in results.items()} == {t: r.to_dict() for t, r in expected.items()}
+    assert len(seen) == len(set(seen))
+    assert set(seen) == {s.id for d in datasets.values() for s in d.sentences()}
+    assert len(seen) < sum(len(d.sentences()) for d in datasets.values())  # the tasks do share sentences
