@@ -18,6 +18,8 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -49,9 +51,16 @@ def _read_exact(f: BinaryIO, n: int) -> bytes:
     return raw
 
 
+def _bytes_left(f: BinaryIO) -> int:
+    return os.fstat(f.fileno()).st_size - f.tell()
+
+
 def _read_str(f: BinaryIO) -> str:
     (n,) = struct.unpack("<H", _read_exact(f, 2))
-    return _read_exact(f, n).decode("utf-8")
+    try:
+        return _read_exact(f, n).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointFormatError("string is not UTF-8") from None
 
 
 def _write_param(f: BinaryIO, p: nc.Parameter) -> None:
@@ -71,12 +80,16 @@ def _read_param(f: BinaryIO) -> nc.Parameter:
     name = _read_str(f)
     (ndim,) = struct.unpack("<B", _read_exact(f, 1))
     shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(ndim))
-    code = _read_exact(f, 2).decode("ascii")
+    code = _read_exact(f, 2).decode("latin-1")
     if code not in _DTYPES:
         raise CheckpointFormatError(f"unknown dtype code {code!r}")
     dtype = _DTYPES[code]
-    count = int(np.prod(shape)) if shape else 1
-    raw = _read_exact(f, count * dtype.itemsize)
+    # in Python ints, so a corrupted shape cannot overflow, and checked before
+    # reading, so it cannot ask for more memory than the file holds
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes > _bytes_left(f):
+        raise CheckpointFormatError(f"parameter {name!r} of shape {shape} overruns the file")
+    raw = _read_exact(f, nbytes)
     value = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return nc.Parameter(name, value)
 
@@ -109,6 +122,26 @@ def save_model(path, model) -> None:
             _write_param(f, p)
 
 
+def _read_header(f: BinaryIO, path) -> dict:
+    (hlen,) = struct.unpack("<I", _read_exact(f, 4))
+    if hlen > _bytes_left(f):
+        raise CheckpointFormatError(f"{path}: header overruns the file")
+    try:
+        header = json.loads(_read_exact(f, hlen).decode("utf-8"))
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise CheckpointFormatError(f"{path}: bad header: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointFormatError(f"{path}: header is not a JSON object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise CheckpointFormatError(f"{path}: unsupported version {header.get('format_version')}")
+    mlp = header.get("mlp")
+    sizes = [header.get(key) for key in ("d", "H", "V")]
+    sizes += mlp if isinstance(mlp, list) and len(mlp) == 2 else [None]
+    if not all(type(n) is int and n > 0 for n in sizes):
+        raise CheckpointFormatError(f"{path}: header needs positive integers d, H, V and two mlp widths")
+    return header
+
+
 def load_model(path):
     """Rebuild the DetectorModel; arrays come back bit-identical."""
     from .classifier import DetectorModel, MlpHead
@@ -117,18 +150,15 @@ def load_model(path):
     with open(path, "rb") as f:
         if _read_exact(f, len(MAGIC)) != MAGIC:
             raise CheckpointFormatError(f"{path}: bad magic")
-        (hlen,) = struct.unpack("<I", _read_exact(f, 4))
-        try:
-            header = json.loads(_read_exact(f, hlen).decode("utf-8"))
-        except json.JSONDecodeError as e:
-            raise CheckpointFormatError(f"{path}: bad header: {e}")
-        if header.get("format_version") != FORMAT_VERSION:
-            raise CheckpointFormatError(f"{path}: unsupported version {header.get('format_version')}")
+        header = _read_header(f, path)
         (vcount,) = struct.unpack("<I", _read_exact(f, 4))
         tokens = [_read_str(f) for _ in range(vcount)]
         if len(tokens) < 2 or tokens[0] != PAD or tokens[1] != UNK:
             raise CheckpointFormatError(f"{path}: reserved vocabulary rows missing")
-        vocab = Vocabulary(tokens[2:])
+        try:
+            vocab = Vocabulary(tokens[2:])
+        except ValueError as e:  # a repeated token
+            raise CheckpointFormatError(f"{path}: {e}") from None
         (pcount,) = struct.unpack("<I", _read_exact(f, 4))
         params = {p.name: p for p in (_read_param(f) for _ in range(pcount))}
 

@@ -143,9 +143,10 @@ def load_embeddings(
 ) -> EmbeddingTable:
     """Read a "token v1 ... vd" text file into a vocabulary-aligned table.
 
-    Tokens absent from the file (including UNK) get vectors drawn
-    uniform(-0.1, 0.1) from ``rng``, in vocabulary-index order, so a fixed
-    seed gives a fixed table. PAD stays zero.
+    Every value must be finite in ``dtype``. Tokens absent from the file
+    (including UNK) get vectors drawn uniform(-0.1, 0.1) from ``rng``, in
+    vocabulary-index order, so a fixed seed gives a fixed table. PAD stays
+    zero.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -167,6 +168,10 @@ def load_embeddings(
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError:
                 raise MalformedLine(f"{path}:{lineno + 1}: non-numeric field")
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(vec.astype(dtype)).all()
+            if not finite:
+                raise MalformedLine(f"{path}:{lineno + 1}: value not finite in {np.dtype(dtype).name}")
             if tok in vocab:
                 vectors[tok] = vec
     if dim is None:

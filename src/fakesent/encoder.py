@@ -150,8 +150,10 @@ class SentenceEncoder:
         """Encodings for a list of sentences, processed in padded chunks.
 
         Chunking is invisible: pooled values are bit-identical for any
-        grouping because padding is masked and all forward kernels are
-        row-stable.
+        grouping. Padding positions are masked out of the pooling, and
+        every forward matrix product runs as BLAS gemms over fixed-size,
+        zero-padded row tiles (``numcore._mm``), so each row is summed in
+        the same order whatever the number of rows in the chunk.
         """
         if len(sentences) == 0:
             raise EmptyDataset("empty batch")

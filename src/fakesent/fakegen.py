@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .corpus import Sentence
-from .errors import EmptyDataset, MalformedLine, NoDistinctPair, TooShort
+from .errors import EmptyDataset, EmptySentence, MalformedLine, NoDistinctPair, TooShort
 
 REAL = 1
 FAKE = 0
@@ -173,15 +173,48 @@ def example_to_json(ex: LabeledExample) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
+def _record_from_json(obj: dict, n_tokens: int) -> CorruptionRecord:
+    """The corruption record of a FAKE line whose sentence has ``n_tokens``.
+
+    Positions index the source sentence: a shuffle keeps its length and
+    swaps two distinct positions, a drop removed one token and has no j.
+    """
+    strategy = obj["strategy"]
+    if strategy == WORD_SHUFFLE:
+        positions, size = {"i": obj["i"], "j": obj["j"]}, n_tokens
+    elif strategy == WORD_DROP:
+        if "j" in obj:
+            raise ValueError("a drop record has no j")
+        positions, size = {"i": obj["i"]}, n_tokens + 1
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    for name, value in positions.items():
+        if type(value) is not int or not 0 <= value < size:
+            raise ValueError(f"{name} = {value!r} is not a position of the {size}-token source")
+    if strategy == WORD_SHUFFLE and positions["i"] == positions["j"]:
+        raise ValueError("a shuffle swaps two distinct positions")
+    return CorruptionRecord(strategy, positions["i"], positions.get("j"))
+
+
 def example_from_json(line: str) -> LabeledExample:
+    """Parse one record; MalformedLine unless ``example_to_json`` could have
+    written it for an example of ``build_dataset``."""
     try:
         obj = json.loads(line)
-        sent = Sentence(tuple(obj["tokens"]), obj["id"])
-        record = None
-        if "strategy" in obj:
-            record = CorruptionRecord(obj["strategy"], obj["i"], obj.get("j"))
-        return LabeledExample(sent, int(obj["label"]), record, obj["source_id"])
-    except (KeyError, ValueError, TypeError) as e:
+        tokens, label = obj["tokens"], obj["label"]
+        if type(label) is not int or label not in (REAL, FAKE):
+            raise ValueError(f"label {label!r} is neither {FAKE} (fake) nor {REAL} (real)")
+        if not isinstance(tokens, list):
+            raise ValueError("tokens must be a list of strings")
+        try:
+            sent = Sentence(tuple(tokens), obj["id"])
+        except AttributeError:  # Sentence splits every token, and only a str has split()
+            raise ValueError("tokens must be a list of strings") from None
+        record = _record_from_json(obj, len(tokens)) if "strategy" in obj else None
+        return LabeledExample(sent, label, record, obj["source_id"])
+    except KeyError as e:
+        raise MalformedLine(f"bad dataset record: missing field {e}")
+    except (ValueError, TypeError, EmptySentence) as e:
         raise MalformedLine(f"bad dataset record: {e}")
 
 
@@ -193,9 +226,13 @@ def write_dataset(path, examples: Iterable[LabeledExample]) -> None:
 
 def read_dataset(path) -> Iterator[LabeledExample]:
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             if line.strip():
-                yield example_from_json(line)
+                try:
+                    example = example_from_json(line)
+                except MalformedLine as e:
+                    raise MalformedLine(f"{path}:{lineno}: {e}") from None
+                yield example
 
 
 def load_dataset(path) -> list[LabeledExample]:

@@ -17,10 +17,18 @@ gradients; the test suite keeps that composition as the op's oracle.
 Determinism notes, load-bearing for the batch/unbatched bit-identity
 guarantee of the encoder:
 
-* Forward matrix products go through ``np.einsum(..., optimize=False)``,
-  whose per-row summation order does not depend on the number of rows.
-  BLAS (``@``) does not give that guarantee, so it is only used in backward
-  rules, where bit-stability across batch sizes is not required.
+* Forward matrix products go through ``_mm``, which cuts the left operand
+  into tiles of ``_ROW_TILE`` rows (the last one zero-padded) and runs one
+  BLAS gemm per tile. For a given right operand every call has the same
+  shape, so BLAS picks the same kernel and the same blocking of the inner
+  dimension for each, and a row's value depends only on that row and the
+  right operand, never on how many rows came with it. BLAS threads split a
+  product's rows and columns, never its inner sum, so the thread count
+  does not change a value either. Plain ``@`` over the whole operand gives
+  no such guarantee: a single row goes to gemv, and OpenBLAS picks a
+  small-matrix or a blocked gemm kernel by the product of the three
+  dimensions; these kernels sum in different orders. Backward rules use
+  plain ``@``: bit-stability across batch sizes is not required there.
 * All other forward ops are elementwise or pure indexing, which numpy
   evaluates value-deterministically.
 
@@ -186,12 +194,21 @@ def constant(data) -> Tensor:
     return Tensor(np.asarray(data))
 
 
+# Rows per BLAS call in every forward product; see the determinism notes.
+# 64 is the default batch size of training and of encode_batch, so a default
+# batch's recurrent step is one gemm; a lone row pays for 63 zero rows.
+_ROW_TILE = 64
+
+
 def _mm(a: np.ndarray, b: np.ndarray, transpose_b: bool) -> np.ndarray:
-    # einsum with optimize=False: per-row summation order is independent of
-    # the number of rows, unlike BLAS.
-    if transpose_b:
-        return np.einsum("ij,kj->ik", a, b, optimize=False)
-    return np.einsum("ij,jk->ik", a, b, optimize=False)
+    # a @ b (or a @ b.T) as one gemm per _ROW_TILE rows of a, all of the
+    # same shape; the zero rows padding the last tile are sliced off again.
+    n, k = a.shape
+    pad = -n % _ROW_TILE
+    if pad:
+        a = np.concatenate([a, np.zeros((pad, k), dtype=a.dtype)])
+    out = a.reshape(-1, _ROW_TILE, k) @ (b.T if transpose_b else b)
+    return out.reshape(n + pad, out.shape[-1])[:n]
 
 
 def matmul(tape: Tape | None, a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:

@@ -220,7 +220,8 @@ def fit_logistic(
     Minimizes mean cross-entropy + l2 * sum(W^2) with a backtracking
     (Armijo) line search; the bias is not penalized. Returns (W, b,
     converged) where converged means the gradient norm fell below the
-    tolerance within the iteration budget.
+    tolerance within the iteration budget. When the line search finds no
+    acceptable step above 1e-14, the fit stops at the last accepted (W, b).
     """
     n, d = x.shape
     w = np.zeros((d, num_classes))
@@ -256,6 +257,8 @@ def fit_logistic(
             if loss_new <= loss - 0.5 * step * gnorm2:
                 break
             step *= 0.5
+        else:
+            break  # no step passed the Armijo test: keep the last accepted (w, b)
         w, b, loss = w_new, b_new, loss_new
         step = min(step * 2.0, 1e6)
     return w, b, converged

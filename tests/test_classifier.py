@@ -1,7 +1,10 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fakesent import checkpoint as ckpt
 from fakesent import classifier as cl
@@ -12,6 +15,7 @@ from fakesent.errors import (
     CheckpointFormatError,
     DivergedTraining,
     EmptyDataset,
+    FakesentError,
     ShapeMismatch,
     SingleClassData,
 )
@@ -291,3 +295,64 @@ def test_checkpoint_float64_roundtrip(tmp_path):
     loaded = ckpt.load_model(p)
     assert loaded.encoder.dtype == np.float64
     assert np.array_equal(loaded.encoder.embedding.value, model.encoder.embedding.value)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    ckpt.save_model(path, build_model(["a", "bé", "c"], dim=2, hidden=2, h1=3, h2=2, seed=3))
+    return path.read_bytes()
+
+
+def with_header(raw, header):
+    """The checkpoint ``raw`` with its JSON header replaced by ``header`` bytes."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    return raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + hlen :]
+
+
+def header_of(raw):
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12 : 12 + hlen])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda raw: with_header(raw, b'{"d": 2, "\xff": 1}'),
+        lambda raw: raw.replace("bé".encode(), b"b\xff\xa9"),
+        lambda raw: with_header(raw, b"[1, 2]"),
+        lambda raw: with_header(raw, json.dumps({**header_of(raw), "mlp": [3]}).encode()),
+        lambda raw: with_header(raw, json.dumps({k: v for k, v in header_of(raw).items() if k != "H"}).encode()),
+        lambda raw: with_header(raw, json.dumps({**header_of(raw), "d": 2.0}).encode()),
+        lambda raw: raw[:8] + struct.pack("<I", 0xFFFFFFFF) + raw[12:],
+        # the embedding's first dimension, right after its name and ndim byte
+        lambda raw: raw.replace(b"embedding\x02" + struct.pack("<I", 5), b"embedding\x02" + struct.pack("<I", 2**32 - 1)),
+        lambda raw: raw.replace(b"\x01\x00c", b"\x01\x00a", 1),
+    ],
+    ids=["header-not-utf8", "token-not-utf8", "header-not-object", "header-mlp-short",
+         "header-no-H", "header-float-d", "header-overruns", "param-overruns", "repeated-token"],
+)
+def test_checkpoint_corruption_is_a_format_error(small_checkpoint, tmp_path, corrupt):
+    raw = corrupt(small_checkpoint)
+    assert raw != small_checkpoint
+    p = tmp_path / "bad.ckpt"
+    p.write_bytes(raw)
+    with pytest.raises(CheckpointFormatError):
+        ckpt.load_model(p)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_corrupted_checkpoint_raises_only_package_errors(small_checkpoint, tmp_path, data):
+    raw = bytearray(small_checkpoint)
+    flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255))
+    for pos, mask in data.draw(st.lists(flips, max_size=3), label="flips"):
+        raw[pos] ^= mask
+    start = data.draw(st.integers(0, len(raw)), label="delete from")
+    del raw[start : start + data.draw(st.integers(0, 8), label="delete count")]
+    p = tmp_path / "bad.ckpt"
+    p.write_bytes(bytes(raw))
+    try:
+        ckpt.load_model(p)
+    except FakesentError:
+        pass

@@ -83,6 +83,22 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data-error:")
 
 
+def test_train_on_a_record_with_a_bad_label_is_a_data_error(tiny_corpus, tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 3,
+                    "--in", tiny_corpus, "--out", data]) == 0
+    lines = data.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].replace('"label": 1', '"label": 5').replace('"label": 0', '"label": 5')
+    data.write_text("".join(lines))
+    capsys.readouterr()
+    rc = run_cli(["train", "--data", data, "--valid", data, "--dim", 4, "--hidden", 4,
+                  "--mlp", "4,4", "--epochs", 1, "--seed", 5, "--out", tmp_path / "m.ckpt"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data-error: {data}:5: bad dataset record: label 5")
+    assert err.count("\n") == 1
+
+
 def test_gradcheck_passes_and_prints_error(capsys):
     rc = run_cli(["gradcheck", "--h", 4, "--d", 4, "--vocab", 12,
                   "--samples", 40, "--seed", 1])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -130,6 +132,18 @@ def test_load_embeddings_non_numeric_raises(tmp_path):
     vocab = cp.build_vocab(sentences([["a"]]))
     with pytest.raises(MalformedLine):
         cp.load_embeddings(p, vocab, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "value, dtype",
+    [("nan", np.float32), ("inf", np.float64), ("-inf", np.float32), ("1e39", np.float32)],
+)
+def test_load_embeddings_non_finite_raises(tmp_path, value, dtype):
+    p = tmp_path / "vec.txt"
+    p.write_text(f"a 1.0 2.0\nb 0.5 {value}\n")
+    vocab = cp.build_vocab(sentences([["a", "b"]]))
+    with pytest.raises(MalformedLine, match=rf"^{re.escape(str(p))}:2: "):
+        cp.load_embeddings(p, vocab, np.random.default_rng(0), dtype=dtype)
 
 
 def test_load_embeddings_coverage_matches_set_intersection(tmp_path):

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +148,56 @@ def test_mixed_length_batch_bit_identical_to_unbatched():
     batched = enc.encode_batch(sents)
     for i, s in enumerate(sents):
         assert np.array_equal(batched[i], enc.encode(s)), f"sentence {i} differs"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim, hidden", [(24, 40), (600, 16)])
+def test_encode_batch_rows_equal_encode_at_every_batch_size(dtype, dim, hidden):
+    # (600, 16): an input projection with a long inner dimension and few
+    # outputs, the sizes at which OpenBLAS switches kernels with the row count
+    enc = make_encoder(n_tokens=60, dim=dim, hidden=hidden, seed=18, dtype=dtype)
+    rng = np.random.default_rng(12)
+    sents = [rand_sentence(rng, enc.vocab, int(rng.integers(1, 13))) for _ in range(70)]
+    alone = np.stack([enc.encode(s) for s in sents])
+    assert alone.dtype == dtype
+    for size in range(1, 71):
+        assert np.array_equal(enc.encode_batch(sents, batch_size=size), alone), f"batch size {size}"
+
+
+_ENCODE_IN_CHILD = """
+import numpy as np
+from fakesent.corpus import Sentence, build_vocab, init_embeddings
+from fakesent.encoder import SentenceEncoder
+
+rng = np.random.default_rng(5)
+words = [f"w{i:03d}" for i in range(300)]
+vocab = build_vocab([Sentence(tuple(words), "v")])
+encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 48, rng), 96, rng)
+sents = [Sentence(tuple(words[int(k)] for k in rng.integers(0, 300, size=int(n))), str(i))
+         for i, n in enumerate(rng.integers(1, 25, size=70))]
+batched = encoder.encode_batch(sents, batch_size=64)
+alone = np.stack([encoder.encode(s) for s in sents])
+print(batched.tobytes().hex())
+print(alone.tobytes().hex())
+"""
+
+
+def test_encodings_bit_identical_across_blas_thread_counts():
+    # the thread count is read once, when numpy loads BLAS, so each count needs its own process
+    root = Path(__file__).resolve().parents[1]
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"}
+        env.update({var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        proc = subprocess.run(
+            [sys.executable, "-c", _ENCODE_IN_CHILD], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = proc.stdout.split()
+    assert outputs["1"] == outputs["2"], "encodings differ between 1 and 2 BLAS threads"
+    batched, alone = (np.frombuffer(bytes.fromhex(h), dtype=np.float32) for h in outputs["1"])
+    assert batched.size == 70 * 192
+    assert np.array_equal(batched, alone)
 
 
 def test_chunked_encoding_matches_single_chunk():

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fakesent import fakegen as fg
 from fakesent.corpus import Sentence
-from fakesent.errors import EmptyDataset, NoDistinctPair, TooShort
+from fakesent.errors import EmptyDataset, MalformedLine, NoDistinctPair, TooShort
 
 
 def sent(tokens, id="s"):
@@ -225,3 +226,50 @@ def test_real_record_json_shape(tmp_path):
     assert set(objs[0]) == {"id", "tokens", "label", "source_id"}
     assert set(objs[1]) == {"id", "tokens", "label", "source_id", "strategy", "i"}
     assert objs[1]["strategy"] == "drop"
+
+
+_REAL_LINE = '{"id": "0", "tokens": ["a", "b", "c"], "label": 1, "source_id": "0"}'
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"id": "0", "tokens": ["a", "b", "c"], "label": 5, "source_id": "0"}',
+        '{"id": "0", "tokens": ["a", "b", "c"], "label": true, "source_id": "0"}',
+        '{"id": "0", "tokens": ["a", "b", "c"], "label": "1", "source_id": "0"}',
+        '{"id": "0:f0", "tokens": ["a", "b"], "label": 0, "source_id": "0", "strategy": "swap", "i": 0, "j": 1}',
+        '{"id": "0:f0", "tokens": ["a", "b"], "label": 0, "source_id": "0", "strategy": "shuffle", "i": 0, "j": 2}',
+        '{"id": "0:f0", "tokens": ["a", "b"], "label": 0, "source_id": "0", "strategy": "shuffle", "i": -1, "j": 1}',
+        '{"id": "0:f0", "tokens": ["a", "b"], "label": 0, "source_id": "0", "strategy": "shuffle", "i": 1, "j": 1}',
+        '{"id": "0:f0", "tokens": ["a", "b"], "label": 0, "source_id": "0", "strategy": "shuffle", "i": 0}',
+        '{"id": "0:f0", "tokens": ["a", "b"], "label": 0, "source_id": "0", "strategy": "shuffle", "i": 0.0, "j": 1}',
+        '{"id": "0:f0", "tokens": ["a", "b"], "label": 0, "source_id": "0", "strategy": "drop", "i": 3}',
+        '{"id": "0:f0", "tokens": ["a", "b"], "label": 0, "source_id": "0", "strategy": "drop", "i": 0, "j": 1}',
+        '{"id": "0:f0", "tokens": ["a", "b"], "label": 1, "source_id": "0", "strategy": "drop", "i": 0}',
+        '{"id": "0", "tokens": "abc", "label": 1, "source_id": "0"}',
+        '{"id": "0", "tokens": ["a", 2], "label": 1, "source_id": "0"}',
+        '{"id": "0", "tokens": [], "label": 1, "source_id": "0"}',
+        '{"id": "0", "tokens": ["a"], "label": 1}',
+        '["a", "b"]',
+        "not json",
+    ],
+)
+def test_example_from_json_rejects_records_build_dataset_cannot_write(line):
+    with pytest.raises(MalformedLine):
+        fg.example_from_json(line)
+
+
+def test_example_from_json_accepts_edge_positions():
+    # a drop may have removed the source's last token: i == len(fake tokens)
+    ex = fg.example_from_json(
+        '{"id": "0:f0", "tokens": ["a", "b"], "label": 0, "source_id": "0", "strategy": "drop", "i": 2}'
+    )
+    assert ex.record == fg.CorruptionRecord(fg.WORD_DROP, 2)
+    assert fg.example_from_json(_REAL_LINE).record is None
+
+
+def test_read_dataset_names_path_and_line_of_a_bad_record(tmp_path):
+    p = tmp_path / "d.jsonl"
+    p.write_text(_REAL_LINE + "\n\n" + _REAL_LINE.replace('"label": 1', '"label": 5') + "\n")
+    with pytest.raises(MalformedLine, match=rf"^{re.escape(str(p))}:3: bad dataset record: label 5"):
+        fg.load_dataset(p)

@@ -45,6 +45,21 @@ def test_matmul_transpose_b_matches_plain():
     np.testing.assert_allclose(out.data, ref.data, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("transpose_b", [False, True])
+def test_matmul_rows_bit_identical_to_rows_computed_alone(dtype, transpose_b):
+    # inner dimension 600 spans more than one of the BLAS kernel's blocks over it
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((70, 600)).astype(dtype)
+    b = nc.constant(rng.standard_normal((96, 600) if transpose_b else (600, 96)).astype(dtype))
+    alone = np.stack([nc.matmul(None, nc.constant(a[i : i + 1]), b, transpose_b).data[0] for i in range(70)])
+    for n in range(1, 71):
+        for start in (0, 3) if n <= 67 else (0,):
+            out = nc.matmul(None, nc.constant(a[start : start + n]), b, transpose_b).data
+            assert out.dtype == dtype
+            assert np.array_equal(out, alone[start : start + n]), f"{n} rows from row {start}"
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         nc.matmul(None, nc.constant(np.ones((2, 3))), nc.constant(np.ones((4, 2))))

@@ -205,6 +205,18 @@ def test_probe_loss_matches_scipy_oracle():
     assert abs(ours - res.fun) < 1e-6
 
 
+def test_fit_logistic_keeps_last_accepted_point_when_line_search_underflows():
+    # features of size 1e10 curve the loss so sharply along the gradient that
+    # every step down to 1e-14 overshoots and fails the Armijo test
+    rng = np.random.default_rng(3)
+    x = 1e10 * rng.standard_normal((20, 2))
+    y = rng.integers(0, 2, size=20)
+    w, b, converged = pb.fit_logistic(x, y, 2, l2=0.0, max_iterations=5)
+    assert not converged
+    assert np.array_equal(w, np.zeros((2, 2)))
+    assert np.array_equal(b, np.zeros(2))
+
+
 def test_larger_penalty_never_grows_weight_norm():
     rng = np.random.default_rng(19)
     n, d, c = 80, 4, 2
