@@ -33,7 +33,6 @@ MAGIC = b"FSENTCK1"
 FORMAT_VERSION = 1
 
 _DTYPES = {"f4": np.dtype("<f4"), "f8": np.dtype("<f8")}
-_PRECISIONS = {"float32": "f4", "float64": "f8"}
 
 
 def _write_str(f: BinaryIO, s: str) -> None:
@@ -89,8 +88,9 @@ def _read_param(f: BinaryIO) -> nc.Parameter:
     nbytes = math.prod(shape) * dtype.itemsize
     if nbytes > _bytes_left(f):
         raise CheckpointFormatError(f"parameter {name!r} of shape {shape} overruns the file")
-    raw = _read_exact(f, nbytes)
-    value = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    value = np.empty(shape, dtype=dtype)  # read in place: no second copy of a large table
+    if f.readinto(value) != nbytes:
+        raise CheckpointFormatError("truncated checkpoint")
     return nc.Parameter(name, value)
 
 
@@ -102,9 +102,7 @@ def save_model(path, model) -> None:
         "d": int(enc.dim),
         "H": int(enc.hidden),
         "V": len(enc.vocab),
-        "precision": {np.dtype(np.float32): "float32", np.dtype(np.float64): "float64"}[
-            np.dtype(enc.dtype)
-        ],
+        "precision": np.dtype(enc.dtype).name,
         "mlp": [int(w) for w in model.head.hidden_widths],
     }
     header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -143,7 +141,7 @@ def _read_header(f: BinaryIO, path) -> dict:
 
 
 def load_model(path):
-    """Rebuild the DetectorModel; arrays come back bit-identical."""
+    """Rebuild the DetectorModel; arrays come back bit-identical (and must be finite)."""
     from .classifier import DetectorModel, MlpHead
     from .encoder import GATES, LstmDirection, SentenceEncoder
 
@@ -172,6 +170,8 @@ def load_model(path):
             raise CheckpointFormatError(f"{path}: missing parameter {name}")
         if p.value.shape != shape:
             raise CheckpointFormatError(f"{path}: {name} has shape {p.value.shape}, want {shape}")
+        if not np.isfinite(p.value).all():
+            raise CheckpointFormatError(f"{path}: {name} holds a NaN or Inf value")
         return p
 
     embedding = take("embedding", (v, d))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     lr_decay_factor: float = 0.5
     seed: int = 0
-    precision: str = "float32"
     freeze_embeddings: bool = False
 
     def __post_init__(self):
@@ -50,8 +49,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not 0 < self.lr_decay_factor <= 1:
             raise ValueError("lr_decay_factor must be in (0, 1]")
-        if self.precision not in ("float32", "float64"):
-            raise ValueError(f"unknown precision {self.precision!r}")
 
 
 class MlpHead:
@@ -151,16 +148,7 @@ class EpochStats:
     learning_rate: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "train_loss": self.train_loss,
-                "train_accuracy": self.train_accuracy,
-                "valid_accuracy": self.valid_accuracy,
-                "learning_rate": self.learning_rate,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass

@@ -13,7 +13,8 @@ defaults. Each run with a file output writes its fully resolved config
 next to that output as ``<output>.config`` (with the tool version in a
 comment), and resolving that file again reproduces the same settings.
 
-Exit codes: 0 success, 2 usage or config error, 3 data error,
+Exit codes: 0 success, 2 usage or config error (including out-of-range
+values), 3 data error (including files that cannot be read or written),
 4 numerical error. Failures print one line: ``<category>: <message>``.
 """
 
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,9 +40,10 @@ from .corpus import (
     init_embeddings,
     load_corpus,
     load_embeddings,
+    text_lines,
 )
 from .encoder import SentenceEncoder
-from .errors import ConfigParseError, DataError, NumericalError
+from .errors import ConfigParseError, DataError, MalformedLine, NumericalError
 
 
 def _bool(text: str) -> bool:
@@ -50,12 +54,37 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> (parser, default); None default means optional unless listed in REQUIRED
+def _checked(parse, ok, expected: str):
+    """A SCHEMAS parser: ``parse(text)``, rejected unless ``ok`` holds for it."""
+
+    def checked(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return checked
+
+
+def _widths(text: str) -> bool:
+    widths = [int(v) for v in text.split(",")]
+    return len(widths) == 2 and min(widths) >= 1
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_RATE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+
+# key -> (parser, default); None default means optional unless listed in REQUIRED.
+# Parsers reject out-of-range values, as flags (argparse) and in config files.
 SCHEMAS = {
     "gen-fakes": {
-        "strategy": (str, None),
-        "fakes_per_real": (int, 1),
-        "seed": (int, None),
+        "strategy": (_checked(str, lambda v: v in fg.STRATEGIES, f"one of {fg.STRATEGIES}"), None),
+        "fakes_per_real": (_COUNT, 1),
+        "seed": (_SEED, None),
         "in": (str, None),
         "out": (str, None),
     },
@@ -63,18 +92,19 @@ SCHEMAS = {
         "data": (str, None),
         "valid": (str, None),
         "embeddings": (str, None),
-        "dim": (int, 300),
-        "emb_scale": (float, 1.0),
-        "min_count": (int, 1),
-        "hidden": (int, 2048),
-        "mlp": (str, "1024,512"),
-        "epochs": (int, 15),
-        "batch": (int, 64),
-        "lr": (float, 0.1),
-        "lr_decay": (float, 0.5),
-        "precision": (str, "float32"),
+        "dim": (_COUNT, 300),
+        "emb_scale": (_RATE, 1.0),
+        "min_count": (_COUNT, 1),
+        "hidden": (_COUNT, 2048),
+        "mlp": (_checked(str, _widths, "two integers >= 1, like 1024,512"), "1024,512"),
+        "epochs": (_COUNT, 15),
+        "batch": (_COUNT, 64),
+        "lr": (_RATE, 0.1),
+        "lr_decay": (_checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]"), 0.5),
+        "precision": (_checked(str, lambda v: v in ("float32", "float64"), "float32 or float64"),
+                      "float32"),
         "freeze_embeddings": (_bool, False),
-        "seed": (int, None),
+        "seed": (_SEED, None),
         "out": (str, None),
         "metrics": (str, None),
     },
@@ -82,35 +112,37 @@ SCHEMAS = {
         "model": (str, None),
         "in": (str, None),
         "out": (str, None),
-        "batch": (int, 64),
+        "batch": (_COUNT, 64),
     },
     "evaluate": {
         "model": (str, None),
         "data": (str, None),
         "report": (str, None),
-        "batch": (int, 64),
+        "batch": (_COUNT, 64),
     },
     "probe": {
         "model": (str, None),
         "corpus": (str, None),
-        "tasks": (str, "sentlen,wc,bshift"),
-        "seed": (int, 0),
+        "tasks": (_checked(str, lambda v: {t.strip() for t in v.split(",")} - {""} <= set(pb.TASKS),
+                           f"comma-separated tasks from {pb.TASKS}"), "sentlen,wc,bshift"),
+        "seed": (_SEED, 0),
         "report": (str, None),
-        "l2_grid": (str, "1e-4,1e-3,1e-2,1e-1,1"),
-        "max_iter": (int, 300),
-        "tol": (float, 1e-5),
+        "l2_grid": (_checked(str, lambda v: all(0 < float(x) < math.inf for x in v.split(",")),
+                             "comma-separated numbers > 0"), "1e-4,1e-3,1e-2,1e-1,1"),
+        "max_iter": (_COUNT, 300),
+        "tol": (_RATE, 1e-5),
     },
     "gradcheck": {
-        "h": (int, 8),
-        "d": (int, 8),
-        "vocab": (int, 50),
-        "batch": (int, 4),
-        "min_len": (int, 2),
-        "max_len": (int, 6),
-        "samples": (int, 200),
-        "eps": (float, 1e-5),
-        "seed": (int, 1),
-        "threshold": (float, 1e-4),
+        "h": (_COUNT, 8),
+        "d": (_COUNT, 8),
+        "vocab": (_COUNT, 50),
+        "batch": (_COUNT, 4),
+        "min_len": (_COUNT, 2),
+        "max_len": (_COUNT, 6),
+        "samples": (_COUNT, 200),
+        "eps": (_checked(float, lambda v: 1e-6 <= v <= 1e-4, "a number in [1e-6, 1e-4]"), 1e-5),
+        "seed": (_SEED, 1),
+        "threshold": (_RATE, 1e-4),
     },
 }
 
@@ -127,17 +159,18 @@ REQUIRED = {
 def parse_config_file(path) -> dict[str, str]:
     values = {}
     try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigParseError(f"{path}:{lineno + 1}: expected key=value")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+        for lineno, line in text_lines(path):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigParseError(f"{path}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
     except OSError as e:
         raise ConfigParseError(f"cannot read config {path}: {e}")
+    except MalformedLine as e:
+        raise ConfigParseError(str(e))
     return values
 
 
@@ -156,7 +189,7 @@ def resolve_config(command: str, config_path, flags: dict) -> dict:
         elif key in file_values:
             try:
                 resolved[key] = parse(file_values[key])
-            except ValueError as e:
+            except (ValueError, argparse.ArgumentTypeError) as e:
                 raise ConfigParseError(f"config key {key}: {e}")
         else:
             resolved[key] = default
@@ -183,22 +216,12 @@ def _require(parser, command, resolved):
             parser.error(f"{command}: --{key.replace('_', '-')} is required")
 
 
-def _parse_mlp(text: str) -> tuple[int, int]:
-    try:
-        h1, h2 = (int(v) for v in text.split(","))
-    except ValueError:
-        raise ConfigParseError(f"--mlp expects two comma-separated widths, got {text!r}")
-    return h1, h2
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_gen_fakes(cfg) -> int:
-    if cfg["strategy"] not in fg.STRATEGIES:
-        raise ConfigParseError(f"--strategy must be one of {fg.STRATEGIES}")
     corpus = load_corpus(cfg["in"])
     data = fg.build_dataset(corpus, cfg["strategy"], cfg["fakes_per_real"], cfg["seed"])
     fg.write_dataset(cfg["out"], data)
@@ -219,32 +242,18 @@ def cmd_train(cfg) -> int:
     else:
         table = init_embeddings(vocab, cfg["dim"], rng, dtype=dtype, scale=cfg["emb_scale"])
     encoder = SentenceEncoder.create(vocab, table, cfg["hidden"], rng)
-    h1, h2 = _parse_mlp(cfg["mlp"])
+    h1, h2 = (int(v) for v in cfg["mlp"].split(","))
     model = cl.DetectorModel.create(encoder, h1, h2, rng)
-    train_cfg = cl.TrainConfig(
-        batch_size=cfg["batch"],
-        epochs=cfg["epochs"],
-        learning_rate=cfg["lr"],
-        lr_decay_factor=cfg["lr_decay"],
-        seed=cfg["seed"],
-        precision=cfg["precision"],
-        freeze_embeddings=cfg["freeze_embeddings"],
-    )
+    train_cfg = cl.TrainConfig(batch_size=cfg["batch"], epochs=cfg["epochs"], learning_rate=cfg["lr"],
+                               lr_decay_factor=cfg["lr_decay"], seed=cfg["seed"],
+                               freeze_embeddings=cfg["freeze_embeddings"])
     metrics_path = cfg["metrics"] or cfg["out"] + ".metrics.jsonl"
     resolved = dict(cfg)
     resolved["metrics"] = str(metrics_path)
     write_resolved_config(cfg["out"] + ".config", resolved)
     report = cl.train(model, train_data, valid_data, train_cfg, cfg["out"], metrics_path)
-    print(
-        json.dumps(
-            {
-                "best_epoch": report.best_epoch,
-                "best_valid_accuracy": report.best_valid_accuracy,
-                "checkpoint": report.checkpoint_path,
-                "metrics": str(metrics_path),
-            }
-        )
-    )
+    print(json.dumps({"best_epoch": report.best_epoch, "best_valid_accuracy": report.best_valid_accuracy,
+                      "checkpoint": report.checkpoint_path, "metrics": str(metrics_path)}))
     return 0
 
 
@@ -265,15 +274,7 @@ def cmd_evaluate(cfg) -> int:
     model = ckpt.load_model(cfg["model"])
     data = fg.load_dataset(cfg["data"])
     metrics = cl.evaluate(model, data, batch_size=cfg["batch"])
-    payload = {
-        "accuracy": metrics.accuracy,
-        "count": metrics.count,
-        "per_class": {
-            name: {"precision": m.precision, "recall": m.recall, "support": m.support}
-            for name, m in metrics.per_class.items()
-        },
-    }
-    text = json.dumps(payload, sort_keys=True)
+    text = json.dumps(asdict(metrics), sort_keys=True)
     if cfg["report"]:
         with open(cfg["report"], "w", encoding="utf-8") as f:
             f.write(text + "\n")
@@ -286,13 +287,7 @@ def cmd_probe(cfg) -> int:
     model = ckpt.load_model(cfg["model"])
     corpus = load_corpus(cfg["corpus"])
     tasks = [t.strip() for t in cfg["tasks"].split(",") if t.strip()]
-    for t in tasks:
-        if t not in pb.TASKS:
-            raise ConfigParseError(f"unknown probing task {t!r}; choose from {pb.TASKS}")
-    try:
-        grid = tuple(float(v) for v in cfg["l2_grid"].split(","))
-    except ValueError:
-        raise ConfigParseError(f"--l2-grid must be comma-separated floats, got {cfg['l2_grid']!r}")
+    grid = tuple(float(v) for v in cfg["l2_grid"].split(","))
     probe_cfg = pb.ProbeConfig(l2_grid=grid, max_iterations=cfg["max_iter"], tolerance=cfg["tol"])
     results = pb.run_probes(model.encoder, corpus, tasks, seed=cfg["seed"], cfg=probe_cfg)
     payload = {task: r.to_dict() for task, r in results.items()}
@@ -305,6 +300,8 @@ def cmd_probe(cfg) -> int:
 
 
 def cmd_gradcheck(cfg) -> int:
+    if cfg["max_len"] < cfg["min_len"]:
+        raise ConfigParseError(f"--max-len {cfg['max_len']} is below --min-len {cfg['min_len']}")
     rng = np.random.default_rng(cfg["seed"])
     tokens = [f"t{i:03d}" for i in range(cfg["vocab"])]
     vocab = build_vocab([Sentence(tuple(tokens), "v")])
@@ -347,8 +344,14 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line in the "<category>: <message>" form, like every other failure
+        self.exit(2, f"usage-error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fakesent",
         description="Train and probe sentence encoders on fake-sentence detection.",
     )
@@ -379,6 +382,9 @@ def main(argv=None) -> int:
         print(f"usage-error: {e}", file=sys.stderr)
         return 2
     except DataError as e:
+        print(f"data-error: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:  # a file that cannot be opened, read or written
         print(f"data-error: {e}", file=sys.stderr)
         return 3
     except NumericalError as e:

@@ -150,30 +150,27 @@ def load_embeddings(
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f):
-            fields = line.split()
-            if not fields:
-                continue
-            tok, values = fields[0], fields[1:]
-            if dim is None:
-                dim = len(values)
-                if dim < 1:
-                    raise DimensionMismatch(f"{path}:{lineno + 1}: no vector values")
-            elif len(values) != dim:
-                raise DimensionMismatch(
-                    f"{path}:{lineno + 1}: expected {dim} values, got {len(values)}"
-                )
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise MalformedLine(f"{path}:{lineno + 1}: non-numeric field")
-            with np.errstate(over="ignore"):
-                finite = np.isfinite(vec.astype(dtype)).all()
-            if not finite:
-                raise MalformedLine(f"{path}:{lineno + 1}: value not finite in {np.dtype(dtype).name}")
-            if tok in vocab:
-                vectors[tok] = vec
+    for lineno, line in text_lines(path):
+        fields = line.split()
+        if not fields:
+            continue
+        tok, values = fields[0], fields[1:]
+        if dim is None:
+            dim = len(values)
+            if dim < 1:
+                raise DimensionMismatch(f"{path}:{lineno}: no vector values")
+        elif len(values) != dim:
+            raise DimensionMismatch(f"{path}:{lineno}: expected {dim} values, got {len(values)}")
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise MalformedLine(f"{path}:{lineno}: non-numeric field")
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(vec.astype(dtype)).all()
+        if not finite:
+            raise MalformedLine(f"{path}:{lineno}: value not finite in {np.dtype(dtype).name}")
+        if tok in vocab:
+            vectors[tok] = vec
     if dim is None:
         raise EmptyCorpus(f"{path}: embedding file has no rows")
     matrix = np.empty((len(vocab), dim), dtype=np.float64)
@@ -187,13 +184,20 @@ def load_embeddings(
     return EmbeddingTable(matrix.astype(dtype))
 
 
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """(1-based line number, line) for each line of a UTF-8 text file; MalformedLine if not UTF-8."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, start=1)
+        except UnicodeDecodeError as e:
+            raise MalformedLine(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def read_corpus(path) -> Iterator[Sentence]:
     """Yield one Sentence per non-blank line, ids being 0-based line numbers."""
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f):
-            if not line.strip():
-                continue
-            yield tokenize(line, id=str(lineno))
+    for lineno, line in text_lines(path):
+        if line.strip():
+            yield tokenize(line, id=str(lineno - 1))
 
 
 def load_corpus(path) -> list[Sentence]:

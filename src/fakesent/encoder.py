@@ -1,6 +1,9 @@
 """Sentence encoder: embedding lookup, single-layer bidirectional LSTM,
 concatenated directional states, max-pooling over time.
 
+A forward pass is ``numcore.rows`` -> ``numcore.bilstm`` (both directions,
+one tape record) -> ``numcore.max_over_time``.
+
 Layout conventions:
 
 * Gate order inside every 4H-wide block is (input, forget, output, cell
@@ -119,30 +122,13 @@ class SentenceEncoder:
             idx[r, : lengths[r]] = self.vocab.indices(s.tokens)
         return idx, lengths
 
-    def _run_direction(self, tape, direction, emb, lengths, reverse: bool):
-        """States (batch, T, H) aligned to original positions."""
-        b, t, d = emb.data.shape
-        hidden = direction.hidden
-        x = nc.reverse_within(tape, emb, lengths) if reverse else emb
-        w_leaf = _leaf(tape, direction.w)
-        b_leaf = _leaf(tape, direction.b)
-        # input projections for every step at once; the recurrence adds U h_{t-1}
-        flat = nc.reshape(tape, x, (b * t, d))
-        proj = nc.add(tape, nc.matmul(tape, flat, w_leaf, transpose_b=True), b_leaf)
-        proj = nc.reshape(tape, proj, (b, t, GATES * hidden))
-        states = nc.lstm_sequence(tape, proj, _leaf(tape, direction.u))
-        if reverse:
-            states = nc.reverse_within(tape, states, lengths)
-        return states
-
     def forward_batch(
         self, tape: nc.Tape | None, idx: np.ndarray, lengths: np.ndarray
     ) -> tuple[nc.Tensor, nc.Tensor]:
         """Pooled encodings (batch, 2H) and per-step concatenated states."""
         emb = nc.rows(tape, _leaf(tape, self.embedding), idx)
-        hf = self._run_direction(tape, self.fwd, emb, lengths, reverse=False)
-        hb = self._run_direction(tape, self.bwd, emb, lengths, reverse=True)
-        u = nc.concat(tape, [hf, hb], axis=2)
+        fwd, bwd = (tuple(_leaf(tape, p) for p in (d.w, d.b, d.u)) for d in (self.fwd, self.bwd))
+        u = nc.bilstm(tape, emb, lengths, fwd, bwd)
         z, _ = nc.max_over_time(tape, u, lengths)
         return z, u
 

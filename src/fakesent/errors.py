@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-CLI exit codes map onto the two error families: DataError -> 3,
-NumericalError -> 4. Usage problems stay with argparse (exit 2).
+CLI exit codes: DataError (and an OSError on a file) -> 3, NumericalError -> 4;
+usage problems, from argparse or a ConfigParseError, -> 2.
 """
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import Sentence
+from .corpus import Sentence, text_lines
 from .errors import EmptyDataset, EmptySentence, MalformedLine, NoDistinctPair, TooShort
 
 REAL = 1
@@ -225,14 +225,13 @@ def write_dataset(path, examples: Iterable[LabeledExample]) -> None:
 
 
 def read_dataset(path) -> Iterator[LabeledExample]:
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if line.strip():
-                try:
-                    example = example_from_json(line)
-                except MalformedLine as e:
-                    raise MalformedLine(f"{path}:{lineno}: {e}") from None
-                yield example
+    for lineno, line in text_lines(path):
+        if line.strip():
+            try:
+                example = example_from_json(line)
+            except MalformedLine as e:
+                raise MalformedLine(f"{path}:{lineno}: {e}") from None
+            yield example
 
 
 def load_dataset(path) -> list[LabeledExample]:

@@ -6,13 +6,13 @@ when a Tape is supplied, records a closure implementing its backward rule.
 ``backward`` replays the tape in reverse and accumulates gradients into the
 Parameters that were registered as leaves.
 
-The LSTM recurrence is one fused op, ``lstm_sequence``: it runs every time
-step in one loop and records a single hand-written backpropagation-through-
-time rule, so a training step's tape length does not grow with sentence
-length. Its arithmetic is, operation for operation, that of the per-step
-composition of ``pick``, ``matmul``, ``add``, ``narrow``, ``sigmoid``,
-``tanh``, ``mul`` and ``stack``, so both give bit-identical values and
-gradients; the test suite keeps that composition as the op's oracle.
+The encoder's BiLSTM is one fused op, ``bilstm``, with one hand-written
+backpropagation-through-time rule, so a training step's tape length does not
+grow with sentence length. Its arithmetic is, operation for operation, that
+of composing ``reverse_within``, ``reshape``, ``matmul``, ``add``, a per-step
+cell of ``pick``, ``narrow``, ``sigmoid``, ``tanh``, ``mul`` and ``stack``,
+and ``concat``, so both give bit-identical values and gradients; the tests
+keep that composition as the op's oracle.
 
 Determinism notes, load-bearing for the batch/unbatched bit-identity
 guarantee of the encoder:
@@ -32,8 +32,8 @@ guarantee of the encoder:
 * All other forward ops are elementwise or pure indexing, which numpy
   evaluates value-deterministically.
 
-Every forward output (in ``lstm_sequence``, every step's pre-activation) is
-checked for NaN/Inf and raises NonFiniteValue.
+Every forward output (in ``bilstm``, the input projections and every step's
+pre-activation) is checked for NaN/Inf and raises NonFiniteValue.
 """
 
 from __future__ import annotations
@@ -45,29 +45,9 @@ import numpy as np
 from .errors import NonFiniteValue, ShapeMismatch
 
 __all__ = [
-    "Tensor",
-    "Parameter",
-    "Tape",
-    "backward",
-    "sgd_step",
-    "grad_check",
-    "constant",
-    "matmul",
-    "add",
-    "mul",
-    "concat",
-    "narrow",
-    "pick",
-    "sigmoid",
-    "tanh",
-    "lstm_sequence",
-    "softmax_cross_entropy",
-    "softmax",
-    "max_over_time",
-    "rows",
-    "stack",
-    "reshape",
-    "reverse_within",
+    "Tensor", "Parameter", "Tape", "backward", "sgd_step", "grad_check", "constant",
+    "matmul", "add", "mul", "concat", "narrow", "pick", "sigmoid", "tanh", "bilstm",
+    "softmax_cross_entropy", "softmax", "max_over_time", "rows", "stack", "reshape", "reverse_within",
 ]
 
 
@@ -96,7 +76,8 @@ class Parameter:
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = value
-        self.grad = np.zeros_like(value)
+        # not zeros_like: fresh zero pages stay unwritten when nothing is trained
+        self.grad = np.zeros(value.shape, dtype=value.dtype)
 
     def zero_grad(self) -> None:
         self.grad[...] = 0
@@ -332,68 +313,109 @@ def tanh(tape: Tape | None, x: Tensor) -> Tensor:
     return out
 
 
-def lstm_sequence(tape: Tape | None, proj: Tensor, u: Tensor) -> Tensor:
-    """LSTM recurrence over every step of a (batch, T, 4H) input projection.
+def _lstm_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray, keep: bool):
+    """One direction over x (batch, T, d) from a zero state: (states, per-step saves).
 
-    ``proj[:, t]`` is W x_t + b and ``u`` the (4H, H) recurrent weights;
-    gate order inside each 4H block is (input, forget, output, candidate).
-    From a zero initial state, each step computes
-    pre = proj[:, t] + h U^T ; c = f * c + i * g ; h = o * tanh(c)
-    and the (batch, T, H) hidden states are returned. The backward rule is
-    backpropagation through time over the stored gates, so the whole
-    recurrence is one tape record.
+    Per step pre = proj[:, t] + h U^T, c = f * c + i * g, h = o * tanh(c), gates (i, f, o, g);
+    proj = x W^T + b is local, so it is freed before the other direction's is made.
     """
-    pd, ud = proj.data, u.data
-    if pd.ndim != 3 or ud.ndim != 2 or ud.shape[0] != 4 * ud.shape[1] or pd.shape[2] != ud.shape[0]:
-        raise ShapeMismatch(f"lstm_sequence projection {pd.shape} and recurrent weights {ud.shape}")
-    b, t, _ = pd.shape
-    hidden = ud.shape[1]
-    h = np.zeros((b, hidden), dtype=pd.dtype)
+    bsz, t, d = x.shape
+    hidden = u.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = _check_finite(_mm(x.reshape(bsz * t, d), w, transpose_b=True) + b, "bilstm")
+    proj = proj.reshape(bsz, t, 4 * hidden)
+    h = np.zeros((bsz, hidden), dtype=x.dtype)
     c = h.copy()
-    out_d = np.empty((b, t, hidden), dtype=pd.dtype)
+    states = np.empty((bsz, t, hidden), dtype=x.dtype)
     saved = []  # per step (h_prev, c_prev, i, f, o, g, tanh(c)) for the backward rule
     for s in range(t):
         with np.errstate(over="ignore", invalid="ignore"):
-            pre = _check_finite(pd[:, s] + _mm(h, ud, transpose_b=True), "lstm_sequence")
+            pre = _check_finite(proj[:, s] + _mm(h, u, transpose_b=True), "bilstm")
         i, f, o = (_sigmoid(pre[:, k * hidden : (k + 1) * hidden]) for k in range(3))
         g = np.tanh(pre[:, 3 * hidden :])
         h_prev, c_prev = h, c
         c = f * c_prev + i * g
         tc = np.tanh(c)
         h = o * tc
-        out_d[:, s] = h
-        if tape is not None:
+        states[:, s] = h
+        if keep:
             saved.append((h_prev, c_prev, i, f, o, g, tc))
+    return states, saved
+
+
+def _lstm_backward(dstates, x, w, u, saved):
+    """Backpropagation through time for one direction: (dx, dw, db, du)."""
+    bsz, t, d = x.shape
+    hidden = u.shape[1]
+    dproj = np.empty((bsz, t, 4 * hidden), dtype=x.dtype)
+    du = np.zeros_like(u)
+    zeros = np.zeros((bsz, hidden), dtype=x.dtype)
+    dh_next, dc_next, f_next = zeros, zeros, zeros  # nothing flows back past the last step
+    for s in reversed(range(t)):
+        h_prev, c_prev, i, f, o, g, tc = saved[s]
+        # products grouped as the primitives' backward rules group them, so
+        # gradients are bit-identical to the composition in the test oracle
+        dh = dstates[:, s] + dh_next
+        dc = dc_next * f_next + (dh * o) * (1.0 - tc * tc)
+        di, df = (dc * g) * (i * (1.0 - i)), (dc * c_prev) * (f * (1.0 - f))
+        dpre = np.concatenate([di, df, (dh * tc) * (o * (1.0 - o)), (dc * i) * (1.0 - g * g)], axis=1)
+        dproj[:, s] = dpre
+        du += dpre.T @ h_prev
+        dh_next = dpre @ u
+        dc_next, f_next = dc, f
+    dproj = dproj.reshape(bsz * t, 4 * hidden)
+    return (dproj @ w).reshape(x.shape), dproj.T @ x.reshape(bsz * t, d), dproj.sum(axis=0), du
+
+
+def bilstm(
+    tape: Tape | None, x: Tensor, lengths: np.ndarray, fwd: Sequence[Tensor], bwd: Sequence[Tensor]
+) -> Tensor:
+    """Bidirectional LSTM over a padded (batch, T, d) input: (batch, T, 2H) states.
+
+    ``fwd`` and ``bwd`` are each a direction's (w, b, u): input weights
+    (4H, d), bias (4H,) and recurrent weights (4H, H). The backward direction
+    reads each row's first ``lengths[r]`` steps in reverse (the padded tail in
+    order) and its states go back where they were read, so ``out[:, t]`` is
+    the forward state after the prefix up to t, then the backward state after
+    the suffix from t. The whole op is one tape record.
+    """
+    xd, lengths = x.data, np.asarray(lengths)
+    if xd.ndim != 3 or lengths.shape != xd.shape[:1] or np.any((lengths < 0) | (lengths > xd.shape[1])):
+        raise ShapeMismatch(f"bilstm input {xd.shape} with lengths {lengths.tolist()}")
+    bsz, t, d = xd.shape
+    hidden = fwd[2].data.shape[-1]
+    shapes = ((4 * hidden, d), (4 * hidden,), (4 * hidden, hidden))
+    for weights in (fwd, bwd):
+        if tuple(p.data.shape for p in weights) != shapes:
+            raise ShapeMismatch(f"bilstm (w, b, u) {[p.data.shape for p in weights]}, want {shapes}")
+    rows_ix, ar = np.arange(bsz)[:, None], np.arange(t)[None, :]
+    rev = np.where(ar < lengths[:, None], lengths[:, None] - 1 - ar, ar)  # reverse_within's map
+
+    def read_order(k, a):
+        # direction k's view of a (batch, T, ...) array; the reversal is its own inverse
+        return a if k == 0 else a[rows_ix, rev]
+
+    out_d = np.empty((bsz, t, 2 * hidden), dtype=xd.dtype)
+    saved = []
+    for k, (w, b, u) in enumerate((fwd, bwd)):
+        xk = read_order(k, xd)
+        states, steps = _lstm_forward(xk, w.data, b.data, u.data, keep=tape is not None)
+        out_d[:, :, k * hidden : (k + 1) * hidden] = read_order(k, states)
+        saved.append((xk, steps))
     out = Tensor(out_d)
     if tape is not None:
 
-        def back(dout):
-            dproj = np.empty_like(pd)
-            du = np.zeros_like(ud)
-            zeros = np.zeros((b, hidden), dtype=pd.dtype)
-            dh_next, dc_next, f_next = zeros, zeros, zeros  # nothing flows back past the last step
-            for s in reversed(range(t)):
-                h_prev, c_prev, i, f, o, g, tc = saved[s]
-                # products grouped as the primitives' backward rules group them, so
-                # gradients are bit-identical to the per-step composition's
-                dh = dout[:, s] + dh_next
-                dc = dc_next * f_next + (dh * o) * (1.0 - tc * tc)
-                dpre = np.concatenate(
-                    [
-                        (dc * g) * (i * (1.0 - i)),
-                        (dc * c_prev) * (f * (1.0 - f)),
-                        (dh * tc) * (o * (1.0 - o)),
-                        (dc * i) * (1.0 - g * g),
-                    ],
-                    axis=1,
-                )
-                dproj[:, s] = dpre
-                du += dpre.T @ h_prev
-                dh_next = dpre @ ud
-                dc_next, f_next = dc, f
-            return dproj, du
+        def back(g):
+            grads = []
+            for k, (w, _, u) in enumerate((fwd, bwd)):
+                xk, steps = saved[k]
+                dstates = read_order(k, g[:, :, k * hidden : (k + 1) * hidden])
+                dx, dw, db, du = _lstm_backward(dstates, xk, w.data, u.data, steps)
+                grads.append((read_order(k, dx), dw, db, du))
+            (dx_f, *dfwd), (dx_b, *dbwd) = grads
+            return (dx_f + dx_b, *dfwd, *dbwd)
 
-        tape.record(out, (proj, u), back)
+        tape.record(out, (x, *fwd, *bwd), back)
     return out
 
 

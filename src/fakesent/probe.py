@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -197,14 +197,8 @@ class ProbeResult:
     valid_accuracy: float
 
     def to_dict(self) -> dict:
-        return {
-            "test_accuracy": self.test_accuracy,
-            "chosen_l2": self.chosen_l2,
-            "converged": self.converged,
-            "num_classes": self.num_classes,
-            "split_sizes": self.split_sizes,
-            "valid_accuracy": self.valid_accuracy,
-        }
+        """Every field but ``name``, which the report keys by."""
+        return {k: v for k, v in asdict(self).items() if k != "name"}
 
 
 def fit_logistic(

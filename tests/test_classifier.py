@@ -109,8 +109,6 @@ def test_train_config_validation():
         cl.TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         cl.TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        cl.TrainConfig(precision="float16")
 
 
 def test_first_batch_loss_near_ln2():

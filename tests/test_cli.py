@@ -8,6 +8,10 @@ import pytest
 
 from fakesent import __version__
 from fakesent import cli
+from fakesent.checkpoint import save_model
+from fakesent.classifier import DetectorModel
+from fakesent.corpus import build_vocab, init_embeddings, load_corpus
+from fakesent.encoder import SentenceEncoder
 from fakesent.errors import ConfigParseError
 
 
@@ -97,6 +101,93 @@ def test_train_on_a_record_with_a_bad_label_is_a_data_error(tiny_corpus, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith(f"data-error: {data}:5: bad dataset record: label 5")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--batch", "0"],
+        ["train", "--epochs", "0"],
+        ["train", "--mlp", "0,4"],
+        ["train", "--precision", "float16"],
+        ["train", "--hidden", "0"],
+        ["train", "--dim", "0"],
+        ["gen-fakes", "--fakes-per-real", "0"],
+        ["probe", "--l2-grid", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_range_flag_is_one_usage_error_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage-error:") and argv[1] in err
+    assert err.count("\n") == 1
+
+
+def test_out_of_range_config_value_is_one_usage_error_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("hidden=0\n")
+    assert run_cli(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage-error: config key hidden:")
+    assert err.count("\n") == 1
+
+
+def one_data_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("data-error:") and err.count("\n") == 1, err
+    assert all(f in err for f in fragments), err
+
+
+def test_non_utf8_corpus_is_a_data_error(tmp_path, capsys):
+    corpus = tmp_path / "bad.txt"
+    corpus.write_bytes(b"\xff\n")
+    assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 1,
+                    "--in", corpus, "--out", tmp_path / "d.jsonl"]) == 3
+    one_data_error_line(capsys, str(corpus), "not UTF-8")
+
+
+def test_missing_model_is_a_data_error(tiny_corpus, tmp_path, capsys):
+    missing = tmp_path / "none.ckpt"
+    assert run_cli(["encode", "--model", missing, "--in", tiny_corpus, "--out", tmp_path / "v.txt"]) == 3
+    one_data_error_line(capsys, str(missing))
+
+
+def test_output_into_a_missing_directory_is_a_data_error(tiny_corpus, tmp_path, capsys):
+    out = tmp_path / "nowhere" / "d.jsonl"
+    assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 1,
+                    "--in", tiny_corpus, "--out", out]) == 3
+    one_data_error_line(capsys, str(out))
+
+
+def test_metrics_into_a_missing_directory_is_a_data_error(tiny_corpus, tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 3,
+                    "--in", tiny_corpus, "--out", data]) == 0
+    capsys.readouterr()
+    metrics = tmp_path / "nowhere" / "m.jsonl"
+    assert run_cli(["train", "--data", data, "--valid", data, "--dim", 4, "--hidden", 4,
+                    "--mlp", "4,4", "--epochs", 1, "--seed", 5, "--out", tmp_path / "m.ckpt",
+                    "--metrics", metrics]) == 3
+    one_data_error_line(capsys, str(metrics))
+
+
+def test_checkpoint_with_a_nan_parameter_is_a_data_error(tiny_corpus, tmp_path, capsys):
+    corpus = load_corpus(tiny_corpus)
+    rng = np.random.default_rng(2)
+    vocab = build_vocab(corpus)
+    encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 4, rng), 3, rng)
+    path = tmp_path / "m.ckpt"
+    save_model(path, DetectorModel.create(encoder, 4, 2, rng))
+    raw = bytearray(path.read_bytes())
+    # the first value of fwd.w: after its name, ndim byte, two uint32 dims and dtype code
+    first = raw.index(b"fwd.w") + len(b"fwd.w") + 1 + 8 + 2
+    raw[first : first + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    assert run_cli(["encode", "--model", path, "--in", tiny_corpus, "--out", tmp_path / "v.txt"]) == 3
+    one_data_error_line(capsys, str(path), "fwd.w")
 
 
 def test_gradcheck_passes_and_prints_error(capsys):

@@ -11,7 +11,7 @@ from fakesent.corpus import Sentence, build_vocab, init_embeddings
 from fakesent.classifier import DetectorModel
 from fakesent.encoder import SentenceEncoder, init_direction
 from fakesent.errors import EmptyDataset
-from unfused_lstm import lstm_cell, lstm_sequence_unfused
+from unfused_lstm import bilstm_unfused, lstm_cell
 
 
 def make_vocab(n_tokens):
@@ -55,25 +55,29 @@ def scalar_lstm_oracle(xs, w, u, b):
 
 
 def direction_states(d, xs):
-    """lstm_sequence over one sequence of inputs xs (T, dim) through d's weights."""
-    x = nc.constant(np.asarray(xs, dtype=np.float64).reshape(len(xs), -1))
-    proj = nc.add(None, nc.matmul(None, x, nc.constant(d.w.value), transpose_b=True), nc.constant(d.b.value))
-    proj = nc.reshape(None, proj, (1, len(xs), 4 * d.hidden))
-    return nc.lstm_sequence(None, proj, nc.constant(d.u.value)).data[0]
+    """bilstm over one sequence of inputs xs (T, dim) with d's weights in both
+    directions: the (T, H) forward states and the backward ones in reading
+    order (last token first)."""
+    x = nc.constant(np.asarray(xs, dtype=np.float64).reshape(1, len(xs), -1))
+    weights = tuple(nc.constant(p.value) for p in (d.w, d.b, d.u))
+    out = nc.bilstm(None, x, np.array([len(xs)]), weights, weights).data[0]
+    return out[:, : d.hidden], out[::-1, d.hidden :]
 
 
 def test_lstm_step_all_zero_parameters():
     # i = f = o = 0.5 and g = 0, so c stays 0 from the zero state and h is exactly zero
     d = zero_direction(dim=3, hidden=2)
     xs = np.array([[0.4, -1.0, 2.0], [1.0, 0.0, -3.0]])
-    assert np.array_equal(direction_states(d, xs), np.zeros((2, 2)))
+    for states in direction_states(d, xs):
+        assert np.array_equal(states, np.zeros((2, 2)))
     # a candidate bias b_g gives g = tanh(b_g): c_t = 0.5 c_prev + 0.5 g and h_t = 0.5 tanh(c_t)
     d.b.value[6:] = [0.8, -0.6]
     g = np.tanh(np.array([0.8, -0.6]))
-    c = np.zeros(2)
-    for h in direction_states(d, xs):
-        c = 0.5 * c + 0.5 * g
-        np.testing.assert_allclose(h, 0.5 * np.tanh(c), atol=1e-15)
+    for states in direction_states(d, xs):
+        c = np.zeros(2)
+        for h in states:
+            c = 0.5 * c + 0.5 * g
+            np.testing.assert_allclose(h, 0.5 * np.tanh(c), atol=1e-15)
 
 
 def test_lstm_step_scalar_input_gate_only_layout():
@@ -81,8 +85,10 @@ def test_lstm_step_scalar_input_gate_only_layout():
     d = zero_direction(dim=1, hidden=1)
     d.w.value[0, 0] = 1.0
     xs = [0.0, 1.5, -2.0]
-    for h, (eh, _) in zip(direction_states(d, xs), scalar_lstm_oracle(xs, [1, 0, 0, 0], [0] * 4, [0] * 4)):
-        np.testing.assert_allclose(h[0], eh, atol=1e-14)
+    fwd, bwd = direction_states(d, xs)
+    for states, seq in ((fwd, xs), (bwd, xs[::-1])):
+        for h, (eh, _) in zip(states, scalar_lstm_oracle(seq, [1, 0, 0, 0], [0] * 4, [0] * 4)):
+            np.testing.assert_allclose(h[0], eh, atol=1e-14)
 
 
 def test_lstm_step_scalar_sequence_matches_hand_oracle():
@@ -92,29 +98,32 @@ def test_lstm_step_scalar_sequence_matches_hand_oracle():
     d.u.value[:, 0] = u
     d.b.value[:] = b
     xs = [0.7, -0.3, 1.2, 0.0, -2.0]
-    states = direction_states(d, xs)
-    assert states.shape == (5, 1)
-    for h, (eh, _) in zip(states, scalar_lstm_oracle(xs, w, u, b)):
-        np.testing.assert_allclose(h[0], eh, atol=1e-13)
+    fwd, bwd = direction_states(d, xs)
+    for states, seq in ((fwd, xs), (bwd, xs[::-1])):
+        assert states.shape == (5, 1)
+        for h, (eh, _) in zip(states, scalar_lstm_oracle(seq, w, u, b)):
+            np.testing.assert_allclose(h[0], eh, atol=1e-13)
 
 
 def test_lstm_step_gradients_match_finite_differences():
-    # the fused recurrence alone, on a direction's weights, at sequence lengths 1, 2 and 7
-    dirn = init_direction("d", 3, 2, np.random.default_rng(5), np.float64)
+    # bilstm alone, on both directions' weights and its input, at T = 1, 2 and 7
+    # (the second row is padded at T = 2 and 7)
     rng = np.random.default_rng(6)
+    init_rng = np.random.default_rng(5)
+    dirs = [init_direction(p, 3, 2, init_rng, np.float64) for p in ("f", "b")]
     for t in (1, 2, 7):
-        xs = nc.constant(rng.standard_normal((2 * t, 3)))
-        weights = nc.constant(rng.standard_normal((2, t, 2)))
+        x = nc.Parameter("x", rng.standard_normal((2, t, 3)))
+        lengths = np.array([t, max(1, t - 3)])
+        weights = nc.constant(rng.standard_normal((2, t, 4)))
+        params = [x] + [p for d in dirs for p in (d.w, d.b, d.u)]
 
         def loss_fn(tape):
-            w, u, b = (tape.leaf(p) if tape is not None else nc.Tensor(p.value) for p in (dirn.w, dirn.u, dirn.b))
-            proj = nc.add(tape, nc.matmul(tape, xs, w, transpose_b=True), b)
-            h = nc.lstm_sequence(tape, nc.reshape(tape, proj, (2, t, 8)), u)
-            flat = nc.reshape(tape, nc.mul(tape, h, weights), (1, 4 * t))
-            return nc.matmul(tape, flat, nc.constant(np.ones((4 * t, 1))))
+            xl, *wbu = (tape.leaf(p) if tape is not None else nc.Tensor(p.value) for p in params)
+            h = nc.bilstm(tape, xl, lengths, tuple(wbu[:3]), tuple(wbu[3:]))
+            flat = nc.reshape(tape, nc.mul(tape, h, weights), (1, 8 * t))
+            return nc.matmul(tape, flat, nc.constant(np.ones((8 * t, 1))))
 
-        err = nc.grad_check(loss_fn, [dirn.w, dirn.u, dirn.b], eps=1e-5, samples=40,
-                            rng=np.random.default_rng(2))
+        err = nc.grad_check(loss_fn, params, eps=1e-5, samples=40, rng=np.random.default_rng(2))
         assert err < 1e-6, f"T={t}"
 
 
@@ -287,8 +296,8 @@ def test_encode_path_gradients_match_finite_differences():
 def test_fused_recurrence_bit_identical_to_unfused_on_padded_batch(dtype, monkeypatch):
     enc = make_encoder(n_tokens=15, dim=3, hidden=4, seed=16, dtype=dtype)
     rng = np.random.default_rng(10)
-    idx, lengths = enc.prepare_batch([rand_sentence(rng, enc.vocab, n) for n in (4, 1, 7, 3)])
-    weights = nc.constant(rng.standard_normal((4, enc.out_dim)).astype(dtype))
+    idx, lengths = enc.prepare_batch([rand_sentence(rng, enc.vocab, n) for n in (4, 1, 7, 3, 6, 2, 5)])
+    weights = nc.constant(rng.standard_normal((7, enc.out_dim)).astype(dtype))
 
     def run():
         tape = nc.Tape()
@@ -301,7 +310,7 @@ def test_fused_recurrence_bit_identical_to_unfused_on_padded_batch(dtype, monkey
         return z.data, u.data, grads
 
     fused = run()
-    monkeypatch.setattr(nc, "lstm_sequence", lstm_sequence_unfused)
+    monkeypatch.setattr(nc, "bilstm", bilstm_unfused)
     oracle = run()
     assert fused[0].dtype == dtype
     assert np.array_equal(fused[0], oracle[0])
@@ -320,7 +329,9 @@ def test_tape_length_of_a_training_step_does_not_grow_with_length():
         tape = nc.Tape()
         model.batch_loss(tape, idx, lengths, np.array([0, 1]))
         counts.append(len(tape))
-    assert counts[0] == counts[1]
+    # rows, bilstm and max_over_time; three matmul/add pairs and two tanh in
+    # the head; the loss
+    assert counts == [12, 12]
 
 
 def test_prepare_batch_pads_with_pad_index():

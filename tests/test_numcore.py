@@ -3,7 +3,7 @@ import pytest
 
 from fakesent import numcore as nc
 from fakesent.errors import NonFiniteValue, ShapeMismatch
-from unfused_lstm import lstm_sequence_unfused
+from unfused_lstm import bilstm_unfused
 
 
 def scalar_sum(tape, x):
@@ -158,47 +158,67 @@ def test_max_over_time_masks_padding():
     assert np.array_equal(am, [[1, 0], [1, 2]])
 
 
+def bilstm_params(rng, d, hidden, dtype=np.float64, scale=0.5):
+    """fwd and bwd (w, b, u) Parameters."""
+    return [
+        nc.Parameter(f"{prefix}.{name}", (scale * rng.standard_normal(shape)).astype(dtype))
+        for prefix in ("fwd", "bwd")
+        for name, shape in (("w", (4 * hidden, d)), ("b", (4 * hidden,)), ("u", (4 * hidden, hidden)))
+    ]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_lstm_sequence_bit_identical_to_unfused_oracle(dtype):
+def test_bilstm_bit_identical_to_unfused_oracle(dtype):
     rng = np.random.default_rng(21)
-    b, t, hidden = 3, 6, 4
-    proj = nc.Parameter("proj", rng.standard_normal((b, t, 4 * hidden)).astype(dtype))
-    u = nc.Parameter("u", (0.5 * rng.standard_normal((4 * hidden, hidden))).astype(dtype))
-    weights = nc.constant(rng.standard_normal((b, t, hidden)).astype(dtype))
+    t, d, hidden = 6, 3, 4
+    lengths = np.array([6, 1, 4, 2, 5, 3])  # every length from 1 to T, padded to T
+    x = nc.Parameter("x", rng.standard_normal((len(lengths), t, d)).astype(dtype))
+    params = [x] + bilstm_params(rng, d, hidden, dtype)
+    weights = nc.constant(rng.standard_normal((len(lengths), t, 2 * hidden)).astype(dtype))
     results = []
-    for op in (nc.lstm_sequence, lstm_sequence_unfused):
+    for op in (nc.bilstm, bilstm_unfused):
         tape = nc.Tape()
-        out = op(tape, tape.leaf(proj), tape.leaf(u))
+        leaves = [tape.leaf(p) for p in params]
+        out = op(tape, leaves[0], lengths, tuple(leaves[1:4]), tuple(leaves[4:]))
         nc.backward(tape, scalar_sum(tape, nc.mul(tape, out, weights)))
-        results.append((out.data, proj.grad.copy(), u.grad.copy()))
-        proj.zero_grad()
-        u.zero_grad()
-    (fused, fused_dproj, fused_du), (oracle, oracle_dproj, oracle_du) = results
-    assert fused.dtype == dtype and fused.shape == (b, t, hidden)
+        results.append((out.data, [p.grad.copy() for p in params]))
+        for p in params:
+            p.zero_grad()
+    (fused, fused_grads), (oracle, oracle_grads) = results
+    assert fused.dtype == dtype and fused.shape == (len(lengths), t, 2 * hidden)
     assert np.array_equal(fused, oracle)
-    assert np.array_equal(fused_dproj, oracle_dproj)
-    assert np.array_equal(fused_du, oracle_du)
+    for p, a, b in zip(params, fused_grads, oracle_grads):
+        assert a.dtype == dtype and np.array_equal(a, b), p.name
 
 
-def test_lstm_sequence_overflow_raises():
+def test_bilstm_overflow_raises():
     # step 0 saturates every gate (h = tanh(1) in both units); step 1's
     # recurrent product 2 * tanh(1) * 1.5e308 overflows
-    proj = nc.constant(np.full((1, 2, 8), 50.0))
-    u = nc.constant(np.full((8, 2), 1.5e308))
+    x = nc.constant(np.ones((1, 2, 1)))
+    weights = (nc.constant(np.full((8, 1), 50.0)), nc.constant(np.zeros(8)), nc.constant(np.full((8, 2), 1.5e308)))
     with pytest.raises(NonFiniteValue):
-        nc.lstm_sequence(None, proj, u)
-    assert np.all(np.isfinite(nc.lstm_sequence(None, nc.constant(proj.data[:, :1]), u).data))
+        nc.bilstm(None, x, np.array([2]), weights, weights)
+    assert np.all(np.isfinite(nc.bilstm(None, nc.constant(x.data[:, :1]), np.array([1]), weights, weights).data))
+    # the input projection itself overflows: 10 * 1e308
+    big = (nc.constant(np.full((8, 1), 1e308)), weights[1], nc.constant(np.zeros((8, 2))))
+    with pytest.raises(NonFiniteValue):
+        nc.bilstm(None, nc.constant(np.full((1, 1, 1), 10.0)), np.array([1]), big, big)
 
 
-def test_lstm_sequence_shape_mismatch():
-    proj = nc.constant(np.zeros((2, 3, 8)))
-    for bad_proj, bad_u in [
-        (proj, nc.constant(np.zeros((12, 3)))),  # 4H = 12 but projection is 8 wide
-        (proj, nc.constant(np.zeros((8, 3)))),  # U is not (4H, H)
-        (nc.constant(np.zeros((6, 8))), nc.constant(np.zeros((8, 2)))),  # projection not 3-D
+def test_bilstm_shape_mismatch():
+    x, lengths = nc.constant(np.zeros((2, 3, 5))), np.array([3, 1])
+    good = tuple(nc.constant(np.zeros(shape)) for shape in ((8, 5), (8,), (8, 2)))
+    for bad_x, bad_lengths, bad_fwd, bad_bwd in [
+        (nc.constant(np.zeros((6, 5))), lengths, good, good),  # input not 3-D
+        (x, np.array([3, 1, 2]), good, good),  # one length per row
+        (x, np.array([4, 1]), good, good),  # a length beyond T
+        (x, lengths, (nc.constant(np.zeros((8, 4))),) + good[1:], good),  # W not (4H, d)
+        (x, lengths, good, good[:1] + (nc.constant(np.zeros(12)),) + good[2:]),  # b not (4H,)
+        (x, lengths, good, tuple(nc.constant(np.zeros(s)) for s in ((12, 5), (12,), (12, 3)))),  # H differs
+        (x, lengths, good[:2] + (nc.constant(np.zeros((8, 3))),), good),  # U is not (4H, H)
     ]:
         with pytest.raises(ShapeMismatch):
-            nc.lstm_sequence(None, bad_proj, bad_u)
+            nc.bilstm(None, bad_x, bad_lengths, bad_fwd, bad_bwd)
 
 
 def test_concat_and_narrow_roundtrip_gradients():

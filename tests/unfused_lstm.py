@@ -1,8 +1,9 @@
-"""The LSTM recurrence composed step by step from numcore primitives.
+"""The bidirectional LSTM composed from numcore primitives.
 
-This is the value and gradient oracle for the fused ``nc.lstm_sequence``:
-the same arithmetic, taped as about sixteen primitive records per step,
-with every backward rule coming from the primitives' own.
+This is the value and gradient oracle for the fused ``nc.bilstm``: the same
+arithmetic, taped as a prefix reversal, projection and per-step cell (about
+sixteen primitive records per step) for each direction, then a
+concatenation, with every backward rule coming from the primitives' own.
 """
 
 import numpy as np
@@ -24,7 +25,8 @@ def lstm_cell(tape, pre_x, h_prev, c_prev, u):
 
 
 def lstm_sequence_unfused(tape, proj, u):
-    """Drop-in for ``nc.lstm_sequence``: (batch, T, H) states from zero state."""
+    """One direction's (batch, T, H) states from a zero state, given the
+    (batch, T, 4H) input projections."""
     b, t, _ = proj.data.shape
     zeros = np.zeros((b, u.data.shape[1]), dtype=proj.data.dtype)
     h, c = nc.constant(zeros), nc.constant(zeros.copy())
@@ -33,3 +35,15 @@ def lstm_sequence_unfused(tape, proj, u):
         h, c = lstm_cell(tape, nc.pick(tape, proj, axis=1, index=step), h, c, u)
         states.append(h)
     return nc.stack(tape, states, axis=1)
+
+
+def bilstm_unfused(tape, x, lengths, fwd, bwd):
+    """Drop-in for ``nc.bilstm``: (batch, T, 2H) states of both directions."""
+    b, t, d = x.data.shape
+    halves = []
+    for (w, bias, u), reverse in ((fwd, False), (bwd, True)):
+        xs = nc.reverse_within(tape, x, lengths) if reverse else x
+        proj = nc.add(tape, nc.matmul(tape, nc.reshape(tape, xs, (b * t, d)), w, transpose_b=True), bias)
+        states = lstm_sequence_unfused(tape, nc.reshape(tape, proj, (b, t, w.data.shape[0])), u)
+        halves.append(nc.reverse_within(tape, states, lengths) if reverse else states)
+    return nc.concat(tape, halves, axis=2)
