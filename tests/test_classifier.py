@@ -313,6 +313,20 @@ def header_of(raw):
     return json.loads(raw[12 : 12 + hlen])
 
 
+def with_param_count(raw, count):
+    """The checkpoint ``raw`` with its parameter count (just before the
+    embedding's block) set to ``count``."""
+    at = raw.index(b"\x09\x00embedding") - 4
+    return raw[:at] + struct.pack("<I", count) + raw[at + 4 :]
+
+
+def swap_names(raw, a, b):
+    """The checkpoint ``raw`` with the equal-length parameter names ``a`` and ``b`` swapped."""
+    tmp = b"?" * len(a)
+    assert tmp not in raw
+    return raw.replace(a, tmp).replace(b, a).replace(tmp, b)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -326,9 +340,15 @@ def header_of(raw):
         # the embedding's first dimension, right after its name and ndim byte
         lambda raw: raw.replace(b"embedding\x02" + struct.pack("<I", 5), b"embedding\x02" + struct.pack("<I", 2**32 - 1)),
         lambda raw: raw.replace(b"\x01\x00c", b"\x01\x00a", 1),
+        # head.b3 is the last block
+        lambda raw: with_param_count(raw, 12)[: raw.rindex(b"\x07\x00head.b3")],
+        lambda raw: with_param_count(raw, 14) + b"\x05\x00extra\x01" + struct.pack("<I", 1) + b"f4" + bytes(4),
+        lambda raw: swap_names(raw, b"head.w1", b"head.w2"),
+        lambda raw: with_header(raw, json.dumps({**header_of(raw), "V": 6}).encode()),
     ],
     ids=["header-not-utf8", "token-not-utf8", "header-not-object", "header-mlp-short",
-         "header-no-H", "header-float-d", "header-overruns", "param-overruns", "repeated-token"],
+         "header-no-H", "header-float-d", "header-overruns", "param-overruns", "repeated-token",
+         "param-missing", "param-unexpected", "param-misshapen", "header-V-not-vocab"],
 )
 def test_checkpoint_corruption_is_a_format_error(small_checkpoint, tmp_path, corrupt):
     raw = corrupt(small_checkpoint)

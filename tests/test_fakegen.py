@@ -8,25 +8,11 @@ from hypothesis import given, settings, strategies as st
 from fakesent import fakegen as fg
 from fakesent.corpus import Sentence
 from fakesent.errors import EmptyDataset, MalformedLine, NoDistinctPair, TooShort
+from synthetic import dp_edit_distance
 
 
 def sent(tokens, id="s"):
     return Sentence(tuple(tokens), id)
-
-
-def dp_edit_distance(a, b):
-    """Independent full-matrix Levenshtein oracle."""
-    n, m = len(a), len(b)
-    d = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        d[i][0] = i
-    for j in range(m + 1):
-        d[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            sub = d[i - 1][j - 1] + (0 if a[i - 1] == b[j - 1] else 1)
-            d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, sub)
-    return d[n][m]
 
 
 def random_sentence(rng, min_len=2, max_len=12, alphabet_size=30):
