@@ -4,7 +4,8 @@ Layout (all integers little-endian):
 
     magic           8 bytes  b"FSENTCK1"
     header length   uint32
-    header          UTF-8 JSON: format_version, d, H, V, precision,
+    header          UTF-8 JSON: format_version, d, H, V, precision
+                    (float32 or float64, the dtype of every parameter),
                     mlp hidden widths
     vocab count     uint32   followed by count entries of
                              uint16 byte-length + UTF-8 token, in index order
@@ -13,6 +14,12 @@ Layout (all integers little-endian):
                              uint8 ndim, uint32 dims...,
                              2-byte dtype code (f4/f8),
                              raw row-major little-endian values
+
+Parameters are saved in ``DetectorModel.all_parameters`` order: embedding
+(V, d); fwd.w (4H, d), fwd.u (4H, H), fwd.b (4H,); the same for bwd; then
+head.w1, head.b1 .. head.w3, head.b3 for widths 2H -> mlp[0] -> mlp[1] -> 2.
+The loader finds them by name and hands each direction to the encoder as
+the (w, b, u) triple ``numcore.bilstm`` takes.
 """
 
 from __future__ import annotations
@@ -137,13 +144,16 @@ def _read_header(f: BinaryIO, path) -> dict:
     sizes += mlp if isinstance(mlp, list) and len(mlp) == 2 else [None]
     if not all(type(n) is int and n > 0 for n in sizes):
         raise CheckpointFormatError(f"{path}: header needs positive integers d, H, V and two mlp widths")
+    if header.get("precision") not in ("float32", "float64"):
+        raise CheckpointFormatError(f"{path}: header precision must be float32 or float64")
     return header
 
 
 def load_model(path):
-    """Rebuild the DetectorModel; arrays come back bit-identical (and must be finite)."""
+    """Rebuild the DetectorModel; arrays come back bit-identical. Every parameter
+    must be there, finite, with the header's precision and the shape it implies."""
     from .classifier import DetectorModel, MlpHead
-    from .encoder import GATES, LstmDirection, SentenceEncoder
+    from .encoder import GATES, SentenceEncoder
 
     with open(path, "rb") as f:
         if _read_exact(f, len(MAGIC)) != MAGIC:
@@ -160,7 +170,7 @@ def load_model(path):
         (pcount,) = struct.unpack("<I", _read_exact(f, 4))
         params = {p.name: p for p in (_read_param(f) for _ in range(pcount))}
 
-    d, hidden, v = header["d"], header["H"], header["V"]
+    d, hidden, v, dtype = header["d"], header["H"], header["V"], np.dtype(header["precision"])
     if len(vocab) != v:
         raise CheckpointFormatError(f"{path}: vocab size {len(vocab)} != header V {v}")
 
@@ -170,29 +180,23 @@ def load_model(path):
             raise CheckpointFormatError(f"{path}: missing parameter {name}")
         if p.value.shape != shape:
             raise CheckpointFormatError(f"{path}: {name} has shape {p.value.shape}, want {shape}")
+        if p.value.dtype != dtype:
+            raise CheckpointFormatError(f"{path}: {name} is {p.value.dtype}, header says {dtype}")
         if not np.isfinite(p.value).all():
             raise CheckpointFormatError(f"{path}: {name} holds a NaN or Inf value")
         return p
 
     embedding = take("embedding", (v, d))
-    directions = {}
-    for prefix in ("fwd", "bwd"):
-        directions[prefix] = LstmDirection(
-            take(f"{prefix}.w", (GATES * hidden, d)),
-            take(f"{prefix}.u", (GATES * hidden, hidden)),
-            take(f"{prefix}.b", (GATES * hidden,)),
-            hidden,
-        )
-    encoder = SentenceEncoder(vocab, embedding, directions["fwd"], directions["bwd"])
-
-    h1, h2 = header["mlp"]
+    g = GATES * hidden
+    fwd, bwd = (
+        (take(f"{k}.w", (g, d)), take(f"{k}.b", (g,)), take(f"{k}.u", (g, hidden)))
+        for k in ("fwd", "bwd")
+    )
+    encoder = SentenceEncoder(vocab, embedding, fwd, bwd)
+    widths = [2 * hidden, *header["mlp"], 2]
     head = MlpHead(
-        take("head.w1", (2 * hidden, h1)),
-        take("head.b1", (h1,)),
-        take("head.w2", (h1, h2)),
-        take("head.b2", (h2,)),
-        take("head.w3", (h2, 2)),
-        take("head.b3", (2,)),
+        (take(f"head.w{k}", (n_in, n_out)), take(f"head.b{k}", (n_out,)))
+        for k, (n_in, n_out) in enumerate(zip(widths, widths[1:]), 1)
     )
     if params:
         raise CheckpointFormatError(f"{path}: unexpected parameters {sorted(params)}")

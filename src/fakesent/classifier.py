@@ -52,47 +52,43 @@ class TrainConfig:
 
 
 class MlpHead:
-    """hidden1 -> tanh -> hidden2 -> tanh -> 2-way softmax logits."""
+    """hidden1 -> tanh -> hidden2 -> tanh -> 2-way softmax logits.
 
-    def __init__(self, w1, b1, w2, b2, w3, b3):
-        self.w1, self.b1 = w1, b1
-        self.w2, self.b2 = w2, b2
-        self.w3, self.b3 = w3, b3
+    ``layers`` holds the three (w, b) pairs: w is (in, out), b is (out,).
+    """
+
+    def __init__(self, layers: Sequence[tuple[nc.Parameter, nc.Parameter]]):
+        self.layers = list(layers)
 
     @classmethod
     def create(cls, in_dim: int, hidden1: int, hidden2: int, rng: np.random.Generator, dtype):
         if hidden1 < 1 or hidden2 < 1:
             raise ValueError("hidden widths must be >= 1")
-
-        def linear(name, n_in, n_out):
-            k = math.sqrt(6.0 / (n_in + n_out))  # Glorot uniform
-            w = nc.Parameter(f"head.w{name}", rng.uniform(-k, k, size=(n_in, n_out)).astype(dtype))
-            b = nc.Parameter(f"head.b{name}", np.zeros(n_out, dtype=dtype))
-            return w, b
-
-        w1, b1 = linear(1, in_dim, hidden1)
-        w2, b2 = linear(2, hidden1, hidden2)
-        w3, b3 = linear(3, hidden2, 2)
-        return cls(w1, b1, w2, b2, w3, b3)
+        widths = (in_dim, hidden1, hidden2, 2)
+        layers = []
+        for k, (n_in, n_out) in enumerate(zip(widths, widths[1:]), 1):
+            bound = math.sqrt(6.0 / (n_in + n_out))  # Glorot uniform
+            w = nc.Parameter(f"head.w{k}", rng.uniform(-bound, bound, size=(n_in, n_out)).astype(dtype))
+            layers.append((w, nc.Parameter(f"head.b{k}", np.zeros(n_out, dtype=dtype))))
+        return cls(layers)
 
     @property
     def in_dim(self) -> int:
-        return self.w1.value.shape[0]
+        return self.layers[0][0].value.shape[0]
 
     @property
     def hidden_widths(self) -> tuple[int, int]:
-        return self.w1.value.shape[1], self.w2.value.shape[1]
+        return tuple(w.value.shape[1] for w, _ in self.layers[:2])
 
     def parameters(self) -> list[nc.Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
+        return [p for layer in self.layers for p in layer]
 
     def forward(self, tape: nc.Tape | None, z: nc.Tensor) -> nc.Tensor:
-        def leaf(p):
-            return tape.leaf(p) if tape is not None else nc.Tensor(p.value)
-
-        h = nc.tanh(tape, nc.add(tape, nc.matmul(tape, z, leaf(self.w1)), leaf(self.b1)))
-        h = nc.tanh(tape, nc.add(tape, nc.matmul(tape, h, leaf(self.w2)), leaf(self.b2)))
-        return nc.add(tape, nc.matmul(tape, h, leaf(self.w3)), leaf(self.b3))
+        for k, (w, b) in enumerate(self.layers):
+            z = nc.add(tape, nc.matmul(tape, z, nc.leaf(tape, w)), nc.leaf(tape, b))
+            if k < len(self.layers) - 1:
+                z = nc.tanh(tape, z)
+        return z
 
 
 class DetectorModel:
@@ -115,7 +111,8 @@ class DetectorModel:
         return self.encoder.parameters() + self.head.parameters()
 
     def trainable_parameters(self, freeze_embeddings: bool = False) -> list[nc.Parameter]:
-        return self.encoder.parameters(include_embedding=not freeze_embeddings) + self.head.parameters()
+        frozen = self.encoder.embedding if freeze_embeddings else None
+        return [p for p in self.all_parameters() if p is not frozen]
 
     def batch_loss(
         self, tape: nc.Tape | None, idx: np.ndarray, lengths: np.ndarray, labels: np.ndarray
@@ -185,6 +182,9 @@ def train(
     valid_labels = np.array([ex.label for ex in valid_data], dtype=np.int64)
 
     params = model.trainable_parameters(cfg.freeze_embeddings)
+    # sgd_step zeroes only what it trains: drop any gradient a frozen run left behind
+    for p in model.all_parameters():
+        p.zero_grad()
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
     report = TrainReport()

@@ -74,6 +74,11 @@ def _widths(text: str) -> bool:
     return len(widths) == 2 and min(widths) >= 1
 
 
+def _tasks(text: str) -> bool:
+    tasks = {t.strip() for t in text.split(",")} - {""}
+    return bool(tasks) and tasks <= set(pb.TASKS)
+
+
 _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _RATE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
@@ -123,8 +128,8 @@ SCHEMAS = {
     "probe": {
         "model": (str, None),
         "corpus": (str, None),
-        "tasks": (_checked(str, lambda v: {t.strip() for t in v.split(",")} - {""} <= set(pb.TASKS),
-                           f"comma-separated tasks from {pb.TASKS}"), "sentlen,wc,bshift"),
+        "tasks": (_checked(str, _tasks, f"one or more comma-separated tasks from {pb.TASKS}"),
+                  "sentlen,wc,bshift"),
         "seed": (_SEED, 0),
         "report": (str, None),
         "l2_grid": (_checked(str, lambda v: all(0 < float(x) < math.inf for x in v.split(",")),

@@ -7,8 +7,10 @@ one tape record) -> ``numcore.max_over_time``.
 Layout conventions:
 
 * Gate order inside every 4H-wide block is (input, forget, output, cell
-  candidate). Input weights are (4H, d), recurrent weights (4H, H),
-  bias (4H,), kept per direction.
+  candidate). Each direction is held as the (w, b, u) triple of Parameters
+  that ``numcore.bilstm`` takes: input weights (4H, d), bias (4H,),
+  recurrent weights (4H, H). Checkpoints store them as w, u, b
+  (``parameters``).
 * The backward direction consumes tokens in reverse order; its state after
   reading tokens n-1 .. t is aligned to position t before concatenation,
   so the per-step concatenated state at t sees the full prefix (forward)
@@ -21,7 +23,6 @@ Layout conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,21 +32,10 @@ from .corpus import EmbeddingTable, Sentence, Vocabulary
 from .errors import EmptyDataset, ShapeMismatch
 
 GATES = 4
+Direction = tuple[nc.Parameter, nc.Parameter, nc.Parameter]  # (w, b, u)
 
 
-@dataclass
-class LstmDirection:
-    """One direction's parameters: input weights, recurrent weights, bias."""
-
-    w: nc.Parameter  # (4H, d)
-    u: nc.Parameter  # (4H, H)
-    b: nc.Parameter  # (4H,)
-    hidden: int
-
-
-def init_direction(
-    prefix: str, dim: int, hidden: int, rng: np.random.Generator, dtype
-) -> LstmDirection:
+def init_direction(prefix: str, dim: int, hidden: int, rng: np.random.Generator, dtype) -> Direction:
     """Uniform(-k, k) with k = 1/sqrt(H); forget-gate bias starts at 1.0
     so early cell memory survives the first updates."""
     k = 1.0 / math.sqrt(hidden)
@@ -53,34 +43,19 @@ def init_direction(
     u = rng.uniform(-k, k, size=(GATES * hidden, hidden)).astype(dtype)
     b = np.zeros(GATES * hidden, dtype=dtype)
     b[hidden : 2 * hidden] = 1.0
-    return LstmDirection(
-        nc.Parameter(f"{prefix}.w", w),
-        nc.Parameter(f"{prefix}.u", u),
-        nc.Parameter(f"{prefix}.b", b),
-        hidden,
-    )
-
-
-def _leaf(tape: nc.Tape | None, param: nc.Parameter) -> nc.Tensor:
-    return tape.leaf(param) if tape is not None else nc.Tensor(param.value)
+    return nc.Parameter(f"{prefix}.w", w), nc.Parameter(f"{prefix}.b", b), nc.Parameter(f"{prefix}.u", u)
 
 
 class SentenceEncoder:
     """Embedding + BiLSTM + temporal max-pooling; output width is 2H."""
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        embedding: nc.Parameter,
-        fwd: LstmDirection,
-        bwd: LstmDirection,
-    ):
+    def __init__(self, vocab: Vocabulary, embedding: nc.Parameter, fwd: Direction, bwd: Direction):
         self.vocab = vocab
         self.embedding = embedding
         self.fwd = fwd
         self.bwd = bwd
         self.dim = embedding.value.shape[1]
-        self.hidden = fwd.hidden
+        self.hidden = fwd[2].value.shape[1]
 
     @classmethod
     def create(
@@ -106,11 +81,9 @@ class SentenceEncoder:
     def out_dim(self) -> int:
         return 2 * self.hidden
 
-    def parameters(self, include_embedding: bool = True) -> list[nc.Parameter]:
-        params = [] if not include_embedding else [self.embedding]
-        for d in (self.fwd, self.bwd):
-            params.extend([d.w, d.u, d.b])
-        return params
+    def parameters(self) -> list[nc.Parameter]:
+        """Checkpoint order: embedding, then per direction w, u, b."""
+        return [self.embedding] + [p for w, b, u in (self.fwd, self.bwd) for p in (w, u, b)]
 
     def prepare_batch(self, sentences: Sequence[Sentence]) -> tuple[np.ndarray, np.ndarray]:
         """Token-index matrix (batch, max_len) padded with PAD, plus lengths."""
@@ -126,8 +99,8 @@ class SentenceEncoder:
         self, tape: nc.Tape | None, idx: np.ndarray, lengths: np.ndarray
     ) -> tuple[nc.Tensor, nc.Tensor]:
         """Pooled encodings (batch, 2H) and per-step concatenated states."""
-        emb = nc.rows(tape, _leaf(tape, self.embedding), idx)
-        fwd, bwd = (tuple(_leaf(tape, p) for p in (d.w, d.b, d.u)) for d in (self.fwd, self.bwd))
+        emb = nc.rows(tape, nc.leaf(tape, self.embedding), idx)
+        fwd, bwd = (tuple(nc.leaf(tape, p) for p in d) for d in (self.fwd, self.bwd))
         u = nc.bilstm(tape, emb, lengths, fwd, bwd)
         z, _ = nc.max_over_time(tape, u, lengths)
         return z, u

@@ -4,7 +4,9 @@ Everything the encoder and classifier compute is assembled from the ops in
 this module. Each op computes its forward value eagerly on numpy arrays and,
 when a Tape is supplied, records a closure implementing its backward rule.
 ``backward`` replays the tape in reverse and accumulates gradients into the
-Parameters that were registered as leaves.
+Parameters that were registered as leaves. Model code enters each Parameter
+with ``leaf(tape, param)``, which is its plain value when there is no tape,
+so one forward serves training and inference.
 
 The encoder's BiLSTM is one fused op, ``bilstm``, with one hand-written
 backpropagation-through-time rule, so a training step's tape length does not
@@ -45,7 +47,7 @@ import numpy as np
 from .errors import NonFiniteValue, ShapeMismatch
 
 __all__ = [
-    "Tensor", "Parameter", "Tape", "backward", "sgd_step", "grad_check", "constant",
+    "Tensor", "Parameter", "Tape", "leaf", "backward", "sgd_step", "grad_check", "constant",
     "matmul", "add", "mul", "concat", "narrow", "pick", "sigmoid", "tanh", "bilstm",
     "softmax_cross_entropy", "softmax", "max_over_time", "rows", "stack", "reshape", "reverse_within",
 ]
@@ -173,6 +175,11 @@ def sgd_step(params: Sequence[Parameter], learning_rate: float) -> None:
 def constant(data) -> Tensor:
     """A graph input with no gradient path."""
     return Tensor(np.asarray(data))
+
+
+def leaf(tape: Tape | None, param: Parameter) -> Tensor:
+    """``param`` as a graph input: a tape leaf, or its plain value without a tape."""
+    return tape.leaf(param) if tape is not None else Tensor(param.value)
 
 
 # Rows per BLAS call in every forward product; see the determinism notes.

@@ -1,8 +1,11 @@
-"""The benchmark's tracer still installs against the package.
+"""The benchmark's tracer and checkpoint reader still work against the package.
 
 ``perfbench/tracing.py`` looks up, by name, every numcore op it times and
 every function and method it wraps; a name the package drops makes every
-traced benchmark run fail at install. This test shows it in the suite.
+traced benchmark run fail at install. ``perfbench/checks.py`` parses
+checkpoints and encodes with its own float64 BiLSTM-max; a renamed,
+reordered or relaid parameter makes every ``encode-paper`` run fail its
+check. These tests show both in the suite.
 """
 
 import importlib.util
@@ -12,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from fakesent import numcore as nc
+from fakesent.checkpoint import save_model
 from fakesent.classifier import DetectorModel
 from fakesent.corpus import Sentence, build_vocab, init_embeddings
 from fakesent.encoder import SentenceEncoder
@@ -19,15 +23,15 @@ from fakesent.encoder import SentenceEncoder
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_traces_a_training_step_and_uninstalls():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     rng = np.random.default_rng(0)
     sentences = [Sentence(tuple(f"w{k}" for k in range(n)), str(n)) for n in (2, 5, 3)]
     vocab = build_vocab(sentences)
@@ -55,3 +59,23 @@ def test_tracer_installs_traces_a_training_step_and_uninstalls():
     assert metrics["numcore.rows.calls"] == 1 and metrics["numcore.max_over_time.calls"] == 1
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert {m["name"] for m in declared} <= set(metrics)
+
+
+def test_benchmark_checkpoint_reader_matches_the_model(tmp_path):
+    checks = load_perfbench("checks")
+    rng = np.random.default_rng(1)
+    sentences = [Sentence(tuple(f"w{(k * n) % 7}" for k in range(n)), str(n)) for n in (1, 4, 9)]
+    vocab = build_vocab(sentences)
+    encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 5, rng), 3, rng)
+    model = DetectorModel.create(encoder, 4, 2, rng)
+    path = tmp_path / "m.ckpt"
+    save_model(path, model)
+
+    header, tokens, params = checks.read_checkpoint(path)
+    assert (header["d"], header["H"], header["V"]) == (5, 3, len(vocab))
+    assert tokens == list(vocab.tokens)
+    # the saved order is the checkpoint format's, documented in fakesent.checkpoint
+    lstm = [f"{k}.{p}" for k in ("fwd", "bwd") for p in "wub"]
+    assert list(params) == ["embedding", *lstm, *(f"head.{p}{k}" for k in (1, 2, 3) for p in "wb")]
+    for s in sentences + [Sentence(("unseen", "w1"), "u")]:
+        checks.check_close(encoder.encode(s), checks.reference_encoding(params, tokens, s.tokens), s.id)

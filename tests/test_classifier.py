@@ -71,12 +71,13 @@ def test_zero_head_predicts_exactly_half():
 
 def test_classify_matches_closed_form_on_1_1_1_head():
     head = cl.MlpHead.create(1, 1, 1, np.random.default_rng(0), np.float64)
-    head.w1.value[:] = [[0.7]]
-    head.b1.value[:] = [0.2]
-    head.w2.value[:] = [[-1.1]]
-    head.b2.value[:] = [0.05]
-    head.w3.value[:] = [[0.9, -0.4]]
-    head.b3.value[:] = [0.1, -0.3]
+    (w1, b1), (w2, b2), (w3, b3) = head.layers
+    w1.value[:] = [[0.7]]
+    b1.value[:] = [0.2]
+    w2.value[:] = [[-1.1]]
+    b2.value[:] = [0.05]
+    w3.value[:] = [[0.9, -0.4]]
+    b3.value[:] = [0.1, -0.3]
     z = 0.5
     h1 = math.tanh(0.7 * z + 0.2)
     h2 = math.tanh(-1.1 * h1 + 0.05)
@@ -178,6 +179,26 @@ def test_train_is_reproducible(tmp_path):
     assert r1.epochs == r2.epochs
     assert c1 == c2
     assert m1 == m2
+
+
+def test_frozen_embedding_gradient_does_not_carry_into_a_later_run():
+    rng = np.random.default_rng(19)
+    data = separable_dataset(64, rng)
+    vocab_tokens = [f"r{i}" for i in range(8)] + [f"f{i}" for i in range(8)]
+    model = build_model(vocab_tokens, seed=22)
+    embedding = model.encoder.embedding.value.copy()
+    frozen = cl.TrainConfig(batch_size=16, epochs=1, learning_rate=0.2, seed=3, freeze_embeddings=True)
+    cl.train(model, data[:48], data[48:], frozen, None)
+    assert np.array_equal(model.encoder.embedding.value, embedding)
+    # the same weights in a model that never trained, then one unfrozen run each
+    twin = build_model(vocab_tokens, seed=22)
+    for p, q in zip(model.all_parameters(), twin.all_parameters()):
+        np.copyto(q.value, p.value)
+    cfg = cl.TrainConfig(batch_size=16, epochs=1, learning_rate=0.2, seed=4)
+    for m in (model, twin):
+        cl.train(m, data[:48], data[48:], cfg, None)
+    for p, q in zip(model.all_parameters(), twin.all_parameters()):
+        assert np.array_equal(p.value, q.value), p.name
 
 
 def test_lr_decays_on_plateau(tmp_path):
@@ -320,6 +341,15 @@ def with_param_count(raw, count):
     return raw[:at] + struct.pack("<I", count) + raw[at + 4 :]
 
 
+def with_f8_param(raw, name, shape):
+    """The float32 checkpoint ``raw`` with parameter ``name`` of ``shape`` stored as float64."""
+    start = raw.index(struct.pack("<H", len(name)) + name) + 2 + len(name) + 1 + 4 * len(shape)
+    n = math.prod(shape)
+    assert raw[start : start + 2] == b"f4"
+    values = np.frombuffer(raw[start + 2 : start + 2 + 4 * n], dtype="<f4").astype("<f8")
+    return raw[:start] + b"f8" + values.tobytes() + raw[start + 2 + 4 * n :]
+
+
 def swap_names(raw, a, b):
     """The checkpoint ``raw`` with the equal-length parameter names ``a`` and ``b`` swapped."""
     tmp = b"?" * len(a)
@@ -345,10 +375,13 @@ def swap_names(raw, a, b):
         lambda raw: with_param_count(raw, 14) + b"\x05\x00extra\x01" + struct.pack("<I", 1) + b"f4" + bytes(4),
         lambda raw: swap_names(raw, b"head.w1", b"head.w2"),
         lambda raw: with_header(raw, json.dumps({**header_of(raw), "V": 6}).encode()),
+        lambda raw: with_header(raw, json.dumps({**header_of(raw), "precision": "float16"}).encode()),
+        lambda raw: with_f8_param(raw, b"fwd.u", (8, 2)),
     ],
     ids=["header-not-utf8", "token-not-utf8", "header-not-object", "header-mlp-short",
          "header-no-H", "header-float-d", "header-overruns", "param-overruns", "repeated-token",
-         "param-missing", "param-unexpected", "param-misshapen", "header-V-not-vocab"],
+         "param-missing", "param-unexpected", "param-misshapen", "header-V-not-vocab",
+         "header-precision-float16", "param-not-header-precision"],
 )
 def test_checkpoint_corruption_is_a_format_error(small_checkpoint, tmp_path, corrupt):
     raw = corrupt(small_checkpoint)

@@ -114,6 +114,8 @@ def test_train_on_a_record_with_a_bad_label_is_a_data_error(tiny_corpus, tmp_pat
         ["train", "--dim", "0"],
         ["gen-fakes", "--fakes-per-real", "0"],
         ["probe", "--l2-grid", "0"],
+        ["probe", "--tasks", ","],
+        ["probe", "--tasks", ""],
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -32,10 +32,10 @@ def rand_sentence(rng, vocab, n):
 
 
 def zero_direction(dim, hidden, dtype=np.float64):
+    """A direction's (w, b, u) Parameters, all zero."""
     d = init_direction("z", dim, hidden, np.random.default_rng(0), dtype)
-    d.w.value[...] = 0.0
-    d.u.value[...] = 0.0
-    d.b.value[...] = 0.0
+    for p in d:
+        p.value[...] = 0.0
     return d
 
 
@@ -55,13 +55,14 @@ def scalar_lstm_oracle(xs, w, u, b):
 
 
 def direction_states(d, xs):
-    """bilstm over one sequence of inputs xs (T, dim) with d's weights in both
-    directions: the (T, H) forward states and the backward ones in reading
-    order (last token first)."""
+    """bilstm over one sequence of inputs xs (T, dim) with d's (w, b, u) in
+    both directions: the (T, H) forward states and the backward ones in
+    reading order (last token first)."""
     x = nc.constant(np.asarray(xs, dtype=np.float64).reshape(1, len(xs), -1))
-    weights = tuple(nc.constant(p.value) for p in (d.w, d.b, d.u))
+    weights = tuple(nc.constant(p.value) for p in d)
     out = nc.bilstm(None, x, np.array([len(xs)]), weights, weights).data[0]
-    return out[:, : d.hidden], out[::-1, d.hidden :]
+    hidden = out.shape[1] // 2
+    return out[:, :hidden], out[::-1, hidden:]
 
 
 def test_lstm_step_all_zero_parameters():
@@ -71,7 +72,7 @@ def test_lstm_step_all_zero_parameters():
     for states in direction_states(d, xs):
         assert np.array_equal(states, np.zeros((2, 2)))
     # a candidate bias b_g gives g = tanh(b_g): c_t = 0.5 c_prev + 0.5 g and h_t = 0.5 tanh(c_t)
-    d.b.value[6:] = [0.8, -0.6]
+    d[1].value[6:] = [0.8, -0.6]  # b
     g = np.tanh(np.array([0.8, -0.6]))
     for states in direction_states(d, xs):
         c = np.zeros(2)
@@ -83,7 +84,7 @@ def test_lstm_step_all_zero_parameters():
 def test_lstm_step_scalar_input_gate_only_layout():
     # H = d = 1, input weights [1, 0, 0, 0]: only the input gate sees x
     d = zero_direction(dim=1, hidden=1)
-    d.w.value[0, 0] = 1.0
+    d[0].value[0, 0] = 1.0  # w
     xs = [0.0, 1.5, -2.0]
     fwd, bwd = direction_states(d, xs)
     for states, seq in ((fwd, xs), (bwd, xs[::-1])):
@@ -94,9 +95,9 @@ def test_lstm_step_scalar_input_gate_only_layout():
 def test_lstm_step_scalar_sequence_matches_hand_oracle():
     w, u, b = [1.0, -0.5, 0.3, 0.8], [0.2, 0.4, -0.3, 0.6], [0.1, 1.0, -0.2, 0.05]
     d = zero_direction(dim=1, hidden=1)
-    d.w.value[:, 0] = w
-    d.u.value[:, 0] = u
-    d.b.value[:] = b
+    d[0].value[:, 0] = w
+    d[1].value[:] = b
+    d[2].value[:, 0] = u
     xs = [0.7, -0.3, 1.2, 0.0, -2.0]
     fwd, bwd = direction_states(d, xs)
     for states, seq in ((fwd, xs), (bwd, xs[::-1])):
@@ -115,10 +116,10 @@ def test_lstm_step_gradients_match_finite_differences():
         x = nc.Parameter("x", rng.standard_normal((2, t, 3)))
         lengths = np.array([t, max(1, t - 3)])
         weights = nc.constant(rng.standard_normal((2, t, 4)))
-        params = [x] + [p for d in dirs for p in (d.w, d.b, d.u)]
+        params = [x] + [p for d in dirs for p in d]
 
         def loss_fn(tape):
-            xl, *wbu = (tape.leaf(p) if tape is not None else nc.Tensor(p.value) for p in params)
+            xl, *wbu = (nc.leaf(tape, p) for p in params)
             h = nc.bilstm(tape, xl, lengths, tuple(wbu[:3]), tuple(wbu[3:]))
             flat = nc.reshape(tape, nc.mul(tape, h, weights), (1, 8 * t))
             return nc.matmul(tape, flat, nc.constant(np.ones((8 * t, 1))))
@@ -236,7 +237,7 @@ def test_zeroing_backward_direction_leaves_forward_half_unchanged():
     rng = np.random.default_rng(5)
     sents = [rand_sentence(rng, enc.vocab, 6) for _ in range(5)]
     before = enc.encode_batch(sents)
-    for p in (enc.bwd.w, enc.bwd.u, enc.bwd.b):
+    for p in enc.bwd:
         p.value[...] = 0.0
     after = enc.encode_batch(sents)
     h = enc.hidden
@@ -252,7 +253,7 @@ def test_loop_matches_manual_lstm_step_sequence():
     _, u = enc.forward_batch(None, idx, lengths)
     # forward half, recomputed step by step through the unfused cell
     emb = enc.embedding.value[idx[0]]
-    w, b, u_rec = (nc.constant(p.value) for p in (enc.fwd.w, enc.fwd.b, enc.fwd.u))
+    w, b, u_rec = (nc.constant(p.value) for p in enc.fwd)
     h = nc.constant(np.zeros((1, enc.hidden)))
     c = nc.constant(np.zeros((1, enc.hidden)))
     for t in range(5):

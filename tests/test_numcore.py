@@ -296,7 +296,7 @@ def test_sgd_step_rejects_non_finite_gradient():
 
 def quadratic_loss(theta):
     def loss_fn(tape):
-        t = tape.leaf(theta) if tape is not None else nc.Tensor(theta.value)
+        t = nc.leaf(tape, theta)
         shifted = nc.add(tape, t, nc.constant(np.array([-2.0])))
         return nc.mul(tape, shifted, shifted)
 
@@ -320,7 +320,7 @@ def test_grad_check_scalar_quadratic():
     theta = nc.Parameter("theta", np.array([3.0]))
 
     def loss_fn(tape):
-        t = tape.leaf(theta) if tape is not None else nc.Tensor(theta.value)
+        t = nc.leaf(tape, theta)
         return nc.mul(tape, t, t)
 
     err = nc.grad_check(loss_fn, [theta], eps=1e-5, samples=1)
@@ -342,7 +342,7 @@ def test_grad_check_flags_corrupted_tanh_backward(monkeypatch):
     p = nc.Parameter("p", rng.standard_normal(8))
 
     def loss_fn(tape):
-        t = tape.leaf(p) if tape is not None else nc.Tensor(p.value)
+        t = nc.leaf(tape, p)
         flat = nc.reshape(tape, nc.tanh(tape, t), (1, 8))
         ones = nc.constant(np.ones((8, 1)))
         return nc.matmul(tape, flat, ones)
@@ -369,10 +369,7 @@ def test_grad_check_composed_ops_small():
     labels = rng.integers(0, 4, size=5)
 
     def loss_fn(tape):
-        if tape is not None:
-            wt, bt = tape.leaf(w), tape.leaf(b)
-        else:
-            wt, bt = nc.Tensor(w.value), nc.Tensor(b.value)
+        wt, bt = nc.leaf(tape, w), nc.leaf(tape, b)
         h = nc.tanh(tape, nc.add(tape, nc.matmul(tape, nc.constant(x), wt), bt))
         loss, _ = nc.softmax_cross_entropy(tape, h, labels)
         return loss
