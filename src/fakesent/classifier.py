@@ -85,7 +85,7 @@ class MlpHead:
 
     def forward(self, tape: nc.Tape | None, z: nc.Tensor) -> nc.Tensor:
         for k, (w, b) in enumerate(self.layers):
-            z = nc.add(tape, nc.matmul(tape, z, nc.leaf(tape, w)), nc.leaf(tape, b))
+            z = nc.add(tape, nc.matmul(tape, z, w), b)
             if k < len(self.layers) - 1:
                 z = nc.tanh(tape, z)
         return z
@@ -129,7 +129,7 @@ class DetectorModel:
             idx, lengths = self.encoder.prepare_batch(chunk)
             z, _ = self.encoder.forward_batch(None, idx, lengths)
             logits = self.head.forward(None, z)
-            out[start : start + len(chunk)] = nc.softmax(logits.data)[:, REAL]
+            out[start : start + len(chunk)] = nc.log_softmax(logits.data)[1][:, REAL]
         return out
 
     def predict(self, sentences: Sequence[Sentence], batch_size: int = 64) -> np.ndarray:

@@ -99,9 +99,8 @@ class SentenceEncoder:
         self, tape: nc.Tape | None, idx: np.ndarray, lengths: np.ndarray
     ) -> tuple[nc.Tensor, nc.Tensor]:
         """Pooled encodings (batch, 2H) and per-step concatenated states."""
-        emb = nc.rows(tape, nc.leaf(tape, self.embedding), idx)
-        fwd, bwd = (tuple(nc.leaf(tape, p) for p in d) for d in (self.fwd, self.bwd))
-        u = nc.bilstm(tape, emb, lengths, fwd, bwd)
+        emb = nc.rows(tape, self.embedding, idx)
+        u = nc.bilstm(tape, emb, lengths, self.fwd, self.bwd)
         z, _ = nc.max_over_time(tape, u, lengths)
         return z, u
 

@@ -4,9 +4,10 @@ Everything the encoder and classifier compute is assembled from the ops in
 this module. Each op computes its forward value eagerly on numpy arrays and,
 when a Tape is supplied, records a closure implementing its backward rule.
 ``backward`` replays the tape in reverse and accumulates gradients into the
-Parameters that were registered as leaves. Model code enters each Parameter
-with ``leaf(tape, param)``, which is its plain value when there is no tape,
-so one forward serves training and inference.
+Parameters the tape reaches. A Parameter enters the graph itself: every op
+takes one wherever it takes a Tensor, reads its value as ``data`` and has
+``backward`` add its gradient straight into ``param.grad``, so one forward
+serves training and inference.
 
 The encoder's BiLSTM is one fused op, ``bilstm``, with one hand-written
 backpropagation-through-time rule, so a training step's tape length does not
@@ -47,9 +48,9 @@ import numpy as np
 from .errors import NonFiniteValue, ShapeMismatch
 
 __all__ = [
-    "Tensor", "Parameter", "Tape", "leaf", "backward", "sgd_step", "grad_check", "constant",
+    "Tensor", "Parameter", "Tape", "backward", "sgd_step", "grad_check", "constant",
     "matmul", "add", "mul", "concat", "narrow", "pick", "sigmoid", "tanh", "bilstm",
-    "softmax_cross_entropy", "softmax", "max_over_time", "rows", "stack", "reshape", "reverse_within",
+    "softmax_cross_entropy", "log_softmax", "max_over_time", "rows", "stack", "reshape", "reverse_within",
 ]
 
 
@@ -71,7 +72,11 @@ class Tensor:
 
 
 class Parameter:
-    """A named trainable array with a persistent gradient buffer."""
+    """A named trainable array with a persistent gradient buffer.
+
+    Ops take a Parameter wherever they take a Tensor: it reads as its value,
+    and ``backward`` accumulates straight into ``grad``, which is never None.
+    """
 
     __slots__ = ("name", "value", "grad")
 
@@ -80,6 +85,10 @@ class Parameter:
         self.value = value
         # not zeros_like: fresh zero pages stay unwritten when nothing is trained
         self.grad = np.zeros(value.shape, dtype=value.dtype)
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.value
 
     def zero_grad(self) -> None:
         self.grad[...] = 0
@@ -99,20 +108,13 @@ class Tape:
     each tensor's consumers before the tensor itself.
     """
 
-    __slots__ = ("_records", "_leaves")
+    __slots__ = ("_records",)
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], BackwardFn]] = []
-        self._leaves: list[tuple[Tensor, Parameter]] = []
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], fn: BackwardFn) -> None:
         self._records.append((out, inputs, fn))
-
-    def leaf(self, param: Parameter) -> Tensor:
-        """Enter ``param`` into the graph; its gradient is collected by backward()."""
-        t = Tensor(param.value)
-        self._leaves.append((t, param))
-        return t
 
     def __len__(self) -> int:
         return len(self._records)
@@ -131,10 +133,12 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Reverse sweep: accumulate d(loss)/d(param) into each registered Parameter.
+    """Reverse sweep: accumulate d(loss)/d(param) into each Parameter the tape reaches.
 
     Intermediate gradients are freed as soon as their record has been
-    processed; only Parameter.grad survives the sweep.
+    processed; only Parameter.grad survives the sweep. Gradients are not
+    checked for finiteness here: ``sgd_step`` and ``grad_check`` check the
+    ones they use.
     """
     if loss.data.size != 1:
         raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")
@@ -150,12 +154,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 continue
             _accumulate(t, g)
         out.grad = None
-    for leaf, param in tape._leaves:
-        if leaf.grad is not None:
-            if not np.isfinite(leaf.grad).all():
-                raise NonFiniteValue(f"non-finite gradient for {param.name}")
-            param.grad += leaf.grad
-            leaf.grad = None
 
 
 def sgd_step(params: Sequence[Parameter], learning_rate: float) -> None:
@@ -175,11 +173,6 @@ def sgd_step(params: Sequence[Parameter], learning_rate: float) -> None:
 def constant(data) -> Tensor:
     """A graph input with no gradient path."""
     return Tensor(np.asarray(data))
-
-
-def leaf(tape: Tape | None, param: Parameter) -> Tensor:
-    """``param`` as a graph input: a tape leaf, or its plain value without a tape."""
-    return tape.leaf(param) if tape is not None else Tensor(param.value)
 
 
 # Rows per BLAS call in every forward product; see the determinism notes.
@@ -299,9 +292,9 @@ def pick(tape: Tape | None, x: Tensor, axis: int, index: int) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # overflow-free split form; elementwise, so value-deterministic
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    # overflow-free: 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with
+    # no branch; elementwise, so value-deterministic
+    return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
@@ -426,11 +419,16 @@ def bilstm(
     return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-stable softmax probabilities (inference helper, no tape)."""
+def log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-stable (log-probabilities, probabilities) over the last axis, no tape.
+
+    Log-probabilities come from max-shifted logits, so no exp overflows and
+    no log of an underflowed probability is taken.
+    """
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    z = e.sum(axis=-1, keepdims=True)
+    return shifted - np.log(z), e / z
 
 
 def softmax_cross_entropy(
@@ -439,8 +437,7 @@ def softmax_cross_entropy(
     """Fused stable softmax + mean cross-entropy over the batch.
 
     Returns the scalar loss tensor and the (batch, classes) probability
-    matrix. The fusion avoids the overflow of a separate log/softmax pair:
-    log-probabilities are computed from max-shifted logits.
+    matrix, both from ``log_softmax``.
     """
     ld = logits.data
     if ld.ndim != 2:
@@ -451,19 +448,15 @@ def softmax_cross_entropy(
         raise ShapeMismatch(f"labels shape {labels.shape} does not match batch {n}")
     if labels.min() < 0 or labels.max() >= c:
         raise ShapeMismatch(f"labels must lie in [0, {c})")
-    shifted = ld - ld.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    z = e.sum(axis=1, keepdims=True)
-    probs = e / z
-    logp = shifted - np.log(z)
+    logp, probs = log_softmax(ld)
     loss_val = -logp[np.arange(n), labels].mean()
     out = Tensor(_check_finite(np.asarray(loss_val, dtype=ld.dtype), "softmax_cross_entropy"))
     if tape is not None:
-        onehot = np.zeros_like(ld)
-        onehot[np.arange(n), labels] = 1.0
 
         def back(g):
-            return ((probs - onehot) * (g / n),)
+            d = probs.copy()
+            d[np.arange(n), labels] -= 1.0  # probs - onehot(labels)
+            return (d * (g / n),)
 
         tape.record(out, (logits,), back)
     return out, probs
@@ -586,7 +579,10 @@ def grad_check(
     loss = model_loss(tape)
     backward(tape, loss)
     analytic = [p.grad.copy() for p in params]
-    for p in params:
+    for p, a in zip(params, analytic):
+        # the worst-error scan below cannot see a NaN: max(0.0, nan) is 0.0
+        if not np.isfinite(a).all():
+            raise NonFiniteValue(f"non-finite gradient for {p.name}")
         p.zero_grad()
 
     sizes = np.array([p.value.size for p in params])

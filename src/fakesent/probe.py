@@ -220,26 +220,21 @@ def fit_logistic(
     n, d = x.shape
     w = np.zeros((d, num_classes))
     b = np.zeros(num_classes)
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), y] = 1.0
+    rows = np.arange(n)
 
-    def loss_of(w_, b_):
-        logits = x @ w_ + b_
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1))
-        ce = float(np.mean(logz - shifted[np.arange(n), y]))
-        return ce + l2 * float((w_ * w_).sum())
+    def objective(w_, b_):
+        """Penalized loss at (w_, b_) and the class probabilities its gradient needs."""
+        logp, probs = nc.log_softmax(x @ w_ + b_)
+        return float(-logp[rows, y].mean()) + l2 * float((w_ * w_).sum()), probs
 
-    def grad_of(w_, b_):
-        probs = nc.softmax(x @ w_ + b_)
-        r = (probs - onehot) / n
-        return x.T @ r + 2.0 * l2 * w_, r.sum(axis=0)
-
-    loss = loss_of(w, b)
+    loss, probs = objective(w, b)
     step = 1.0
     converged = False
     for _ in range(max_iterations):
-        gw, gb = grad_of(w, b)
+        r = probs.copy()
+        r[rows, y] -= 1.0  # probs - onehot(y)
+        r /= n
+        gw, gb = x.T @ r + 2.0 * l2 * w, r.sum(axis=0)
         gnorm2 = float((gw * gw).sum() + (gb * gb).sum())
         if np.sqrt(gnorm2) < tolerance:
             converged = True
@@ -247,13 +242,13 @@ def fit_logistic(
         while step > 1e-14:
             w_new = w - step * gw
             b_new = b - step * gb
-            loss_new = loss_of(w_new, b_new)
+            loss_new, probs_new = objective(w_new, b_new)
             if loss_new <= loss - 0.5 * step * gnorm2:
                 break
             step *= 0.5
         else:
             break  # no step passed the Armijo test: keep the last accepted (w, b)
-        w, b, loss = w_new, b_new, loss_new
+        w, b, loss, probs = w_new, b_new, loss_new, probs_new
         step = min(step * 2.0, 1e6)
     return w, b, converged
 
@@ -274,6 +269,9 @@ def train_probe(
     report the chosen probe's test accuracy. Encoder parameters are not
     part of this computation at all, only the cached encodings."""
     cfg = cfg or ProbeConfig()
+    if not dataset.valid or not dataset.test:
+        raise InsufficientExamples(f"{dataset.name}: no probe can be chosen and tested on splits "
+                                   f"{dataset.split_sizes}")
     x_train, y_train = _features(dataset.train, encodings)
     x_valid, y_valid = _features(dataset.valid, encodings)
     x_test, y_test = _features(dataset.test, encodings)

@@ -271,7 +271,7 @@ def test_conv1_quadratic_sgd_convergence():
     theta = nc.Parameter("theta", np.array([0.0]))
 
     def loss_fn(tape):
-        t = tape.leaf(theta)
+        t = theta
         shifted = nc.add(tape, t, nc.constant(np.array([-2.0])))
         return nc.mul(tape, shifted, shifted)
 

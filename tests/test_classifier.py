@@ -59,7 +59,7 @@ def separable_dataset(n, rng):
 
 def p_real(head, z):
     """p(REAL) for one encoding, through the head and the softmax."""
-    return float(nc.softmax(head.forward(None, nc.Tensor(np.asarray(z)[None, :])).data)[0, REAL])
+    return float(nc.log_softmax(head.forward(None, nc.Tensor(np.asarray(z)[None, :])).data)[1][0, REAL])
 
 
 def test_zero_head_predicts_exactly_half():
@@ -93,7 +93,7 @@ def test_class_probabilities_sum_to_one():
     for _ in range(50):
         z = rng.standard_normal(6)
         logits = head.forward(None, nc.Tensor(z[None, :]))
-        probs = nc.softmax(logits.data)[0]
+        probs = nc.log_softmax(logits.data)[1][0]
         assert abs(probs.sum() - 1.0) < 1e-9
 
 

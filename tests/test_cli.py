@@ -192,6 +192,22 @@ def test_checkpoint_with_a_nan_parameter_is_a_data_error(tiny_corpus, tmp_path, 
     one_data_error_line(capsys, str(path), "fwd.w")
 
 
+@pytest.mark.parametrize("seed, split", [(0, "valid"), (1, "test")])
+def test_empty_probe_split_is_a_data_error(tmp_path, capsys, seed, split):
+    # six sentences over ten hash buckets: the seed decides which split stays empty
+    corpus = tmp_path / "six.txt"
+    corpus.write_text("the cat sat on the mat\na dog ran in the park\nbirds sing at dawn today\n"
+                      "she reads a long book\nwe walk to the river\nrain falls on the roof\n")
+    rng = np.random.default_rng(2)
+    vocab = build_vocab(load_corpus(corpus))
+    encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 4, rng), 3, rng)
+    model = tmp_path / "m.ckpt"
+    save_model(model, DetectorModel.create(encoder, 4, 2, rng))
+    assert run_cli(["probe", "--model", model, "--corpus", corpus, "--tasks", "bshift",
+                    "--seed", seed, "--report", tmp_path / "probe.json"]) == 3
+    one_data_error_line(capsys, "bshift", f"'{split}': 0")
+
+
 def test_gradcheck_passes_and_prints_error(capsys):
     rc = run_cli(["gradcheck", "--h", 4, "--d", 4, "--vocab", 12,
                   "--samples", 40, "--seed", 1])

@@ -119,8 +119,7 @@ def test_lstm_step_gradients_match_finite_differences():
         params = [x] + [p for d in dirs for p in d]
 
         def loss_fn(tape):
-            xl, *wbu = (nc.leaf(tape, p) for p in params)
-            h = nc.bilstm(tape, xl, lengths, tuple(wbu[:3]), tuple(wbu[3:]))
+            h = nc.bilstm(tape, x, lengths, dirs[0], dirs[1])
             flat = nc.reshape(tape, nc.mul(tape, h, weights), (1, 8 * t))
             return nc.matmul(tape, flat, nc.constant(np.ones((8 * t, 1))))
 

@@ -23,6 +23,27 @@ def test_sigmoid_extremes_stay_finite():
     assert out.data[0] == 0.0 and out.data[1] == 1.0
 
 
+def two_branch_sigmoid(x):
+    # the split form _sigmoid had before its branch-free one, kept as its oracle
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def test_sigmoid_bits_match_two_branch_form():
+    edges = np.array([0.0, 1e-30, 1.0, 50.0, 88.0, 100.0])
+    edges = np.concatenate([edges, -edges])
+    # every 4099th float32 bit pattern: both signs, subnormals, infinities and NaNs
+    sweep = np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    spread = 40.0 * np.random.default_rng(17).standard_normal(1 << 16)
+    for x in (edges.astype(np.float32), edges, sweep, spread):
+        with np.errstate(invalid="ignore"):  # exp of a signalling NaN sets the invalid flag
+            got, want = nc._sigmoid(x), two_branch_sigmoid(x)
+        assert got.dtype == x.dtype
+        nan = np.isnan(x)
+        assert np.isnan(got[nan]).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_matmul_against_naive_triple_loop():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((3, 4))
@@ -68,7 +89,7 @@ def test_matmul_shape_mismatch():
 def test_backward_of_linear_sum():
     p = nc.Parameter("p", np.array([1.0, 5.0, -2.0]))
     tape = nc.Tape()
-    loss = scalar_sum(tape, tape.leaf(p))
+    loss = scalar_sum(tape, p)
     nc.backward(tape, loss)
     assert np.array_equal(p.grad, [1.0, 1.0, 1.0])
 
@@ -76,8 +97,7 @@ def test_backward_of_linear_sum():
 def test_backward_of_quadratic():
     p = nc.Parameter("p", np.array([1.0, 2.0]))
     tape = nc.Tape()
-    t = tape.leaf(p)
-    loss = scalar_sum(tape, nc.mul(tape, t, t))
+    loss = scalar_sum(tape, nc.mul(tape, p, p))
     nc.backward(tape, loss)
     assert np.array_equal(p.grad, [2.0, 4.0])
 
@@ -85,7 +105,7 @@ def test_backward_of_quadratic():
 def test_backward_requires_scalar_loss():
     p = nc.Parameter("p", np.array([1.0, 2.0]))
     tape = nc.Tape()
-    out = nc.mul(tape, tape.leaf(p), tape.leaf(p))
+    out = nc.mul(tape, p, p)
     with pytest.raises(ShapeMismatch):
         nc.backward(tape, out)
 
@@ -94,8 +114,7 @@ def test_backward_accumulates_over_multiple_uses():
     # loss = sum(p) + sum(p * p) -> grad = 1 + 2p
     p = nc.Parameter("p", np.array([3.0, -1.0]))
     tape = nc.Tape()
-    t = tape.leaf(p)
-    loss = nc.add(tape, scalar_sum(tape, t), scalar_sum(tape, nc.mul(tape, t, t)))
+    loss = nc.add(tape, scalar_sum(tape, p), scalar_sum(tape, nc.mul(tape, p, p)))
     nc.backward(tape, loss)
     np.testing.assert_allclose(p.grad, 1.0 + 2.0 * p.value)
 
@@ -104,7 +123,7 @@ def test_bias_add_backward_sums_over_batch():
     x = nc.Parameter("x", np.zeros((4, 3)))
     b = nc.Parameter("b", np.array([1.0, 2.0, 3.0]))
     tape = nc.Tape()
-    out = nc.add(tape, tape.leaf(x), tape.leaf(b))
+    out = nc.add(tape, x, b)
     loss = scalar_sum(tape, out)
     nc.backward(tape, loss)
     assert np.array_equal(b.grad, [4.0, 4.0, 4.0])
@@ -130,7 +149,7 @@ def test_softmax_cross_entropy_gradient_matches_probs_minus_onehot():
     logits = nc.Parameter("logits", rng.standard_normal((6, 3)))
     labels = rng.integers(0, 3, size=6)
     tape = nc.Tape()
-    loss, probs = nc.softmax_cross_entropy(tape, tape.leaf(logits), labels)
+    loss, probs = nc.softmax_cross_entropy(tape, logits, labels)
     nc.backward(tape, loss)
     onehot = np.zeros((6, 3))
     onehot[np.arange(6), labels] = 1.0
@@ -140,7 +159,7 @@ def test_softmax_cross_entropy_gradient_matches_probs_minus_onehot():
 def test_max_backward_routes_to_argmax_and_preserves_mass():
     x = nc.Parameter("x", np.array([[[1.0, -2.0], [0.0, 3.0], [1.0, 3.0]]]))
     tape = nc.Tape()
-    out, am = nc.max_over_time(tape, tape.leaf(x), np.array([3]))
+    out, am = nc.max_over_time(tape, x, np.array([3]))
     loss = scalar_sum(tape, out)
     nc.backward(tape, loss)
     # ties go to the first maximal index: feature 0's max is shared by steps 0 and 2
@@ -178,8 +197,7 @@ def test_bilstm_bit_identical_to_unfused_oracle(dtype):
     results = []
     for op in (nc.bilstm, bilstm_unfused):
         tape = nc.Tape()
-        leaves = [tape.leaf(p) for p in params]
-        out = op(tape, leaves[0], lengths, tuple(leaves[1:4]), tuple(leaves[4:]))
+        out = op(tape, params[0], lengths, tuple(params[1:4]), tuple(params[4:]))
         nc.backward(tape, scalar_sum(tape, nc.mul(tape, out, weights)))
         results.append((out.data, [p.grad.copy() for p in params]))
         for p in params:
@@ -225,7 +243,7 @@ def test_concat_and_narrow_roundtrip_gradients():
     a = nc.Parameter("a", np.arange(6, dtype=float).reshape(2, 3))
     b = nc.Parameter("b", np.arange(4, dtype=float).reshape(2, 2))
     tape = nc.Tape()
-    cat = nc.concat(tape, [tape.leaf(a), tape.leaf(b)], axis=1)
+    cat = nc.concat(tape, [a, b], axis=1)
     right = nc.narrow(tape, cat, axis=1, start=3, size=2)
     loss = scalar_sum(tape, right)
     nc.backward(tape, loss)
@@ -236,7 +254,7 @@ def test_concat_and_narrow_roundtrip_gradients():
 def test_rows_gather_accumulates_duplicate_indices():
     table = nc.Parameter("emb", np.arange(8, dtype=float).reshape(4, 2))
     tape = nc.Tape()
-    out = nc.rows(tape, tape.leaf(table), np.array([1, 1, 3]))
+    out = nc.rows(tape, table, np.array([1, 1, 3]))
     loss = scalar_sum(tape, out)
     nc.backward(tape, loss)
     assert np.array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
@@ -296,8 +314,7 @@ def test_sgd_step_rejects_non_finite_gradient():
 
 def quadratic_loss(theta):
     def loss_fn(tape):
-        t = nc.leaf(tape, theta)
-        shifted = nc.add(tape, t, nc.constant(np.array([-2.0])))
+        shifted = nc.add(tape, theta, nc.constant(np.array([-2.0])))
         return nc.mul(tape, shifted, shifted)
 
     return loss_fn
@@ -320,8 +337,7 @@ def test_grad_check_scalar_quadratic():
     theta = nc.Parameter("theta", np.array([3.0]))
 
     def loss_fn(tape):
-        t = nc.leaf(tape, theta)
-        return nc.mul(tape, t, t)
+        return nc.mul(tape, theta, theta)
 
     err = nc.grad_check(loss_fn, [theta], eps=1e-5, samples=1)
     assert err < 1e-9
@@ -342,8 +358,7 @@ def test_grad_check_flags_corrupted_tanh_backward(monkeypatch):
     p = nc.Parameter("p", rng.standard_normal(8))
 
     def loss_fn(tape):
-        t = nc.leaf(tape, p)
-        flat = nc.reshape(tape, nc.tanh(tape, t), (1, 8))
+        flat = nc.reshape(tape, nc.tanh(tape, p), (1, 8))
         ones = nc.constant(np.ones((8, 1)))
         return nc.matmul(tape, flat, ones)
 
@@ -353,6 +368,25 @@ def test_grad_check_flags_corrupted_tanh_backward(monkeypatch):
     err = nc.grad_check(loss_fn, [p], eps=1e-5, samples=8)
     monkeypatch.setattr(nc, "tanh", real_tanh)
     assert err > 1e-2
+
+
+def test_grad_check_raises_on_a_non_finite_analytic_gradient(monkeypatch):
+    # a NaN gradient would otherwise read as a perfect match: max(0.0, nan) is 0.0
+    def nan_tanh(tape, x):
+        out = nc.Tensor(np.tanh(x.data))
+        if tape is not None:
+            tape.record(out, (x,), lambda g: (np.full_like(g, np.nan),))
+        return out
+
+    p = nc.Parameter("p", np.random.default_rng(3).standard_normal(8))
+
+    def loss_fn(tape):
+        flat = nc.reshape(tape, nc.tanh(tape, p), (1, 8))
+        return nc.matmul(tape, flat, nc.constant(np.ones((8, 1))))
+
+    monkeypatch.setattr(nc, "tanh", nan_tanh)
+    with pytest.raises(NonFiniteValue, match="gradient for p"):
+        nc.grad_check(loss_fn, [p], eps=1e-5, samples=8)
 
 
 def test_grad_check_requires_float64():
@@ -369,8 +403,7 @@ def test_grad_check_composed_ops_small():
     labels = rng.integers(0, 4, size=5)
 
     def loss_fn(tape):
-        wt, bt = nc.leaf(tape, w), nc.leaf(tape, b)
-        h = nc.tanh(tape, nc.add(tape, nc.matmul(tape, nc.constant(x), wt), bt))
+        h = nc.tanh(tape, nc.add(tape, nc.matmul(tape, nc.constant(x), w), b))
         loss, _ = nc.softmax_cross_entropy(tape, h, labels)
         return loss
 
