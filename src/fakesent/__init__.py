@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .corpus import (
-    EmbeddingTable,
     Sentence,
     Vocabulary,
     build_vocab,
@@ -27,7 +26,6 @@ from .probe import ProbeConfig, ProbeDataset, run_probes, train_probe
 
 __all__ = [
     "__version__",
-    "EmbeddingTable",
     "Sentence",
     "Vocabulary",
     "build_vocab",

@@ -102,7 +102,10 @@ def _read_param(f: BinaryIO) -> nc.Parameter:
 
 
 def save_model(path, model) -> None:
-    """Serialize a DetectorModel (encoder + classifier head + vocabulary)."""
+    """Serialize a DetectorModel (encoder + classifier head + vocabulary).
+
+    The file is written beside ``path`` and then renamed onto it, so a save
+    that fails leaves any previous checkpoint at ``path`` intact."""
     enc = model.encoder
     header = {
         "format_version": FORMAT_VERSION,
@@ -113,18 +116,24 @@ def save_model(path, model) -> None:
         "mlp": [int(w) for w in model.head.hidden_widths],
     }
     header_raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(header_raw)))
-        f.write(header_raw)
-        tokens = enc.vocab.tokens
-        f.write(struct.pack("<I", len(tokens)))
-        for tok in tokens:
-            _write_str(f, tok)
-        params = model.all_parameters()
-        f.write(struct.pack("<I", len(params)))
-        for p in params:
-            _write_param(f, p)
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        with open(partial, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", len(header_raw)))
+            f.write(header_raw)
+            tokens = enc.vocab.tokens
+            f.write(struct.pack("<I", len(tokens)))
+            for tok in tokens:
+                _write_str(f, tok)
+            params = model.all_parameters()
+            f.write(struct.pack("<I", len(params)))
+            for p in params:
+                _write_param(f, p)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def _read_header(f: BinaryIO, path) -> dict:
@@ -133,7 +142,7 @@ def _read_header(f: BinaryIO, path) -> dict:
         raise CheckpointFormatError(f"{path}: header overruns the file")
     try:
         header = json.loads(_read_exact(f, hlen).decode("utf-8"))
-    except ValueError as e:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep to parse
         raise CheckpointFormatError(f"{path}: bad header: {e}") from None
     if not isinstance(header, dict):
         raise CheckpointFormatError(f"{path}: header is not a JSON object")

@@ -386,10 +386,7 @@ def main(argv=None) -> int:
     except ConfigParseError as e:
         print(f"usage-error: {e}", file=sys.stderr)
         return 2
-    except DataError as e:
-        print(f"data-error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:  # a file that cannot be opened, read or written
+    except (DataError, OSError) as e:  # OSError: a file that cannot be opened, read or written
         print(f"data-error: {e}", file=sys.stderr)
         return 3
     except NumericalError as e:

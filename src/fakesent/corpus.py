@@ -9,7 +9,7 @@ File formats:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -111,77 +111,69 @@ def build_vocab(corpus: Iterable[Sentence], min_count: int = 1) -> Vocabulary:
     return Vocabulary(kept)
 
 
-@dataclass
-class EmbeddingTable:
-    """Vocabulary-aligned embedding matrix; the PAD row is all zeros."""
-
-    matrix: np.ndarray  # (V, d)
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        self.dim = int(self.matrix.shape[1])
-
-
 def init_embeddings(
     vocab: Vocabulary, dim: int, rng: np.random.Generator, dtype=np.float32, scale: float = 1.0
-) -> EmbeddingTable:
-    """Random table for training without a pretrained file: rows are
-    uniform(-scale, scale), PAD stays zero.
+) -> np.ndarray:
+    """Random (V, d) table in ``dtype`` for training without a pretrained
+    file: rows are uniform(-scale, scale), PAD stays zero.
 
     The default scale is deliberately larger than the 0.1 used for rows
     missing from a pretrained file: with nothing but random vectors, the
     encoder needs input magnitudes comparable to real word vectors for
     gradients to be useful at desk scale.
     """
-    matrix = rng.uniform(-scale, scale, size=(len(vocab), dim)).astype(dtype)
-    matrix[PAD_INDEX] = 0.0
-    return EmbeddingTable(matrix)
+    table = rng.uniform(-scale, scale, size=(len(vocab), dim)).astype(dtype)
+    table[PAD_INDEX] = 0.0
+    return table
 
 
 def load_embeddings(
     path, vocab: Vocabulary, rng: np.random.Generator, dtype=np.float32
-) -> EmbeddingTable:
-    """Read a "token v1 ... vd" text file into a vocabulary-aligned table.
+) -> np.ndarray:
+    """Read a "token v1 ... vd" text file into a vocabulary-aligned (V, d)
+    table in ``dtype``.
 
-    Every value must be finite in ``dtype``. Tokens absent from the file
-    (including UNK) get vectors drawn uniform(-0.1, 0.1) from ``rng``, in
+    The table is allocated once the first line fixes d, and each vector of
+    a vocabulary token is written straight into its row (a repeated token
+    keeps its last vector). Every value on every line must be finite in
+    ``dtype``. Rows still missing once the file is read (including UNK) are
+    filled in place with vectors drawn uniform(-0.1, 0.1) from ``rng``, in
     vocabulary-index order, so a fixed seed gives a fixed table. PAD stays
     zero.
     """
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
+    table = found = None
     for lineno, line in text_lines(path):
         fields = line.split()
         if not fields:
             continue
         tok, values = fields[0], fields[1:]
-        if dim is None:
-            dim = len(values)
-            if dim < 1:
+        if table is None:
+            if not values:
                 raise DimensionMismatch(f"{path}:{lineno}: no vector values")
-        elif len(values) != dim:
-            raise DimensionMismatch(f"{path}:{lineno}: expected {dim} values, got {len(values)}")
+            table = np.zeros((len(vocab), len(values)), dtype=dtype)
+            found = np.zeros(len(vocab), dtype=bool)
+            spare = np.empty(len(values), dtype=dtype)  # the row of a token outside the vocabulary
+        elif len(values) != table.shape[1]:
+            raise DimensionMismatch(f"{path}:{lineno}: expected {table.shape[1]} values, got {len(values)}")
         try:
-            vec = np.array([float(v) for v in values], dtype=np.float64)
+            vec = [float(v) for v in values]
         except ValueError:
             raise MalformedLine(f"{path}:{lineno}: non-numeric field")
+        row = vocab.index(tok) if tok in vocab else None
+        dest = spare if row is None else table[row]
         with np.errstate(over="ignore"):
-            finite = np.isfinite(vec.astype(dtype)).all()
-        if not finite:
+            dest[:] = vec
+        if not np.isfinite(dest).all():
             raise MalformedLine(f"{path}:{lineno}: value not finite in {np.dtype(dtype).name}")
-        if tok in vocab:
-            vectors[tok] = vec
-    if dim is None:
+        if row is not None:
+            found[row] = True
+    if table is None:
         raise EmptyCorpus(f"{path}: embedding file has no rows")
-    matrix = np.empty((len(vocab), dim), dtype=np.float64)
-    for i, tok in enumerate(vocab.tokens):
-        if tok == PAD:
-            matrix[i] = 0.0
-        elif tok in vectors:
-            matrix[i] = vectors[tok]
-        else:
-            matrix[i] = rng.uniform(-0.1, 0.1, size=dim)
-    return EmbeddingTable(matrix.astype(dtype))
+    table[PAD_INDEX] = 0.0
+    found[PAD_INDEX] = True
+    for row in np.flatnonzero(~found):
+        table[row] = rng.uniform(-0.1, 0.1, size=table.shape[1])
+    return table
 
 
 def text_lines(path) -> Iterator[tuple[int, str]]:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numcore as nc
-from .corpus import EmbeddingTable, Sentence, Vocabulary
+from .corpus import Sentence, Vocabulary
 from .errors import EmptyDataset, ShapeMismatch
 
 GATES = 4
@@ -61,16 +61,17 @@ class SentenceEncoder:
     def create(
         cls,
         vocab: Vocabulary,
-        table: EmbeddingTable,
+        table: np.ndarray,
         hidden: int,
         rng: np.random.Generator,
     ) -> "SentenceEncoder":
-        if table.matrix.shape[0] != len(vocab):
-            raise ShapeMismatch("embedding rows must match vocabulary size")
-        dtype = table.matrix.dtype
-        embedding = nc.Parameter("embedding", table.matrix.copy())
-        fwd = init_direction("fwd", table.dim, hidden, rng, dtype)
-        bwd = init_direction("bwd", table.dim, hidden, rng, dtype)
+        """Encoder over a copy of the (V, d) embedding ``table``, whose dtype
+        every parameter takes; training never writes into the caller's array."""
+        if table.ndim != 2 or table.shape[0] != len(vocab):
+            raise ShapeMismatch("embedding table must be (V, d) with V the vocabulary size")
+        embedding = nc.Parameter("embedding", table.copy())
+        fwd = init_direction("fwd", table.shape[1], hidden, rng, table.dtype)
+        bwd = init_direction("bwd", table.shape[1], hidden, rng, table.dtype)
         return cls(vocab, embedding, fwd, bwd)
 
     @property

@@ -214,7 +214,7 @@ def example_from_json(line: str) -> LabeledExample:
         return LabeledExample(sent, label, record, obj["source_id"])
     except KeyError as e:
         raise MalformedLine(f"bad dataset record: missing field {e}")
-    except (ValueError, TypeError, EmptySentence) as e:
+    except (ValueError, TypeError, EmptySentence, RecursionError) as e:  # RecursionError: JSON too deep
         raise MalformedLine(f"bad dataset record: {e}")
 
 

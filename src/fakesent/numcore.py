@@ -214,20 +214,14 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor, transpose_b: bool = False) -
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; b may also be a vector broadcast over leading axes."""
     ad, bd = a.data, b.data
-    if ad.shape == bd.shape:
-        with np.errstate(over="ignore"):
-            out = Tensor(_check_finite(ad + bd, "add"))
-        if tape is not None:
-            tape.record(out, (a, b), lambda g: (g, g))
-        return out
-    if bd.ndim == 1 and ad.ndim >= 1 and ad.shape[-1] == bd.shape[0]:
-        with np.errstate(over="ignore"):
-            out = Tensor(_check_finite(ad + bd, "add"))
-        if tape is not None:
-            lead = tuple(range(ad.ndim - 1))
-            tape.record(out, (a, b), lambda g: (g, g.sum(axis=lead)))
-        return out
-    raise ShapeMismatch(f"add shapes {ad.shape} and {bd.shape}")
+    if ad.shape != bd.shape and not (bd.ndim == 1 and ad.ndim >= 1 and ad.shape[-1] == bd.shape[0]):
+        raise ShapeMismatch(f"add shapes {ad.shape} and {bd.shape}")
+    with np.errstate(over="ignore"):
+        out = Tensor(_check_finite(ad + bd, "add"))
+    if tape is not None:
+        lead = ad.ndim - bd.ndim
+        tape.record(out, (a, b), lambda g: (g, g.sum(axis=tuple(range(lead))) if lead else g))
+    return out
 
 
 def mul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:

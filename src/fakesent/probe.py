@@ -26,6 +26,7 @@ import numpy as np
 from . import numcore as nc
 from .corpus import Sentence, Vocabulary
 from .errors import DegenerateBins, InsufficientExamples
+from .fakegen import swap_positions
 
 SENTLEN = "sentlen"
 WC = "wc"
@@ -178,9 +179,7 @@ def gen_bshift(sentences: Sequence[Sentence], seed: int = 0) -> ProbeDataset:
             pairs.append((s, 0))
         else:
             p = positions[int(rng.integers(len(positions)))]
-            toks = list(s.tokens)
-            toks[p], toks[p + 1] = toks[p + 1], toks[p]
-            pairs.append((Sentence(tuple(toks), s.id + ":b"), 1))
+            pairs.append((swap_positions(s, p, p + 1, s.id + ":b"), 1))
     if not pairs:
         raise InsufficientExamples("no sentence is eligible for bshift")
     return ProbeDataset(BSHIFT, 2, *_split(pairs, seed))

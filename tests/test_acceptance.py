@@ -20,7 +20,7 @@ from fakesent import classifier as cl
 from fakesent import fakegen as fg
 from fakesent import numcore as nc
 from fakesent import probe as pb
-from fakesent.corpus import EmbeddingTable, Sentence, build_vocab, init_embeddings
+from fakesent.corpus import Sentence, build_vocab, init_embeddings
 from fakesent.encoder import SentenceEncoder
 from synthetic import ascending_corpus, dp_edit_distance, split_by_source
 
@@ -31,7 +31,7 @@ def build_sep_model(vocab, emb_scale, mlp, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-emb_scale, emb_scale, size=(len(vocab), 16)).astype(np.float32)
     matrix[0] = 0.0
-    encoder = SentenceEncoder.create(vocab, EmbeddingTable(matrix), 32, rng)
+    encoder = SentenceEncoder.create(vocab, matrix, 32, rng)
     return cl.DetectorModel.create(encoder, *mlp, rng)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -390,6 +391,28 @@ def test_checkpoint_corruption_is_a_format_error(small_checkpoint, tmp_path, cor
     p.write_bytes(raw)
     with pytest.raises(CheckpointFormatError):
         ckpt.load_model(p)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    first = build_model(["a", "b"], seed=1)
+    ckpt.save_model(path, first)
+    written = []
+    write_param = ckpt._write_param
+
+    def failing_write_param(f, p):
+        written.append(p.name)
+        if len(written) == 3:
+            raise OSError("no space left on device")
+        write_param(f, p)
+
+    monkeypatch.setattr(ckpt, "_write_param", failing_write_param)
+    with pytest.raises(OSError, match="no space left"):
+        ckpt.save_model(path, build_model(["a", "b"], seed=2))
+    assert os.listdir(tmp_path) == ["m.ckpt"]  # no partial file left behind
+    reloaded = ckpt.load_model(path)
+    for p, q in zip(first.all_parameters(), reloaded.all_parameters(), strict=True):
+        assert p.name == q.name and p.value.tobytes() == q.value.tobytes()
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

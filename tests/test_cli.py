@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -6,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fakesent
 from fakesent import __version__
 from fakesent import cli
-from fakesent.checkpoint import save_model
+from fakesent import numcore as nc
+from fakesent.checkpoint import MAGIC, save_model
 from fakesent.classifier import DetectorModel
 from fakesent.corpus import build_vocab, init_embeddings, load_corpus
 from fakesent.encoder import SentenceEncoder
@@ -192,6 +195,21 @@ def test_checkpoint_with_a_nan_parameter_is_a_data_error(tiny_corpus, tmp_path, 
     one_data_error_line(capsys, str(path), "fwd.w")
 
 
+def test_deeply_nested_dataset_record_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "deep.jsonl"
+    data.write_text("[" * 200_000 + "\n")
+    assert run_cli(["train", "--data", data, "--valid", data, "--seed", 0, "--out", tmp_path / "m.ckpt"]) == 3
+    one_data_error_line(capsys, f"{data}:1", "bad dataset record")
+
+
+def test_deeply_nested_checkpoint_header_is_a_data_error(tiny_corpus, tmp_path, capsys):
+    header = b"[" * 200_000
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+    assert run_cli(["encode", "--model", path, "--in", tiny_corpus, "--out", tmp_path / "v.txt"]) == 3
+    one_data_error_line(capsys, str(path), "bad header")
+
+
 @pytest.mark.parametrize("seed, split", [(0, "valid"), (1, "test")])
 def test_empty_probe_split_is_a_data_error(tmp_path, capsys, seed, split):
     # six sentences over ten hash buckets: the seed decides which split stays empty
@@ -324,3 +342,8 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", [fakesent, nc], ids=["fakesent", "numcore"])
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,10 +112,10 @@ def test_load_embeddings_copies_present_rows(tmp_path):
     p.write_text("a 1.0 2.0\n")
     vocab = cp.build_vocab(sentences([["a"]]))
     table = cp.load_embeddings(p, vocab, np.random.default_rng(0), dtype=np.float64)
-    assert table.dim == 2
-    assert np.array_equal(table.matrix[vocab.index("a")], [1.0, 2.0])
-    assert np.array_equal(table.matrix[cp.PAD_INDEX], [0.0, 0.0])
-    unk_row = table.matrix[cp.UNK_INDEX]
+    assert table.shape[1] == 2
+    assert np.array_equal(table[vocab.index("a")], [1.0, 2.0])
+    assert np.array_equal(table[cp.PAD_INDEX], [0.0, 0.0])
+    unk_row = table[cp.UNK_INDEX]
     assert np.all(np.abs(unk_row) <= 0.1) and np.any(unk_row != 0.0)
 
 
@@ -162,10 +163,30 @@ def test_load_embeddings_coverage_matches_set_intersection(tmp_path):
     covered = sum(
         1
         for t in vocab_tokens
-        if np.all(np.abs(table.matrix[vocab.index(t)]) >= 1.0)  # file values lie in [1, 2]
+        if np.all(np.abs(table[vocab.index(t)]) >= 1.0)  # file values lie in [1, 2]
     )
     expected = len(set(vocab_tokens) & set(file_tokens))
     assert covered == expected
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_load_embeddings_peak_memory_is_about_one_table(tmp_path, dtype):
+    # 2,100 rows of d=50: half the vocabulary in the file, plus tokens outside it
+    rng = np.random.default_rng(4)
+    tokens = [f"w{i}" for i in range(2098)]
+    vocab = cp.build_vocab(sentences([tokens]))
+    p = tmp_path / "vec.txt"
+    with open(p, "w") as f:
+        for t in tokens[::2] + [f"oov{i}" for i in range(200)]:
+            f.write(" ".join([t, *map(str, rng.uniform(-1, 1, size=50).tolist())]) + "\n")
+    tracemalloc.start()
+    try:
+        table = cp.load_embeddings(p, vocab, np.random.default_rng(0), dtype=dtype)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (2100, 50) and table.dtype == dtype
+    assert peak <= 1.5 * table.nbytes, peak / table.nbytes
 
 
 def test_read_corpus_skips_blank_lines(tmp_path):

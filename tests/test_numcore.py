@@ -129,6 +129,23 @@ def test_bias_add_backward_sums_over_batch():
     assert np.array_equal(b.grad, [4.0, 4.0, 4.0])
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [((), ()), ((3,), (3,)), ((2, 3), (2, 3)), ((2, 3), (3,)),
+                                               ((2, 4, 3), (3,))])
+def test_add_accepts_equal_shapes_and_a_trailing_vector(a_shape, b_shape):
+    a, b = nc.Parameter("a", np.ones(a_shape)), nc.Parameter("b", np.ones(b_shape))
+    tape = nc.Tape()
+    nc.backward(tape, scalar_sum(tape, nc.add(tape, a, b)))
+    assert np.array_equal(a.grad, np.ones(a_shape))
+    assert np.array_equal(b.grad, np.full(b_shape, np.prod(a_shape) / np.prod(b_shape)))
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((2, 3), (2,)), ((3,), (2, 3)), ((2, 3), (1, 3)),
+                                               ((2, 3), ()), ((), (1,))])
+def test_add_rejects_other_broadcasts(a_shape, b_shape):
+    with pytest.raises(ShapeMismatch):
+        nc.add(None, nc.constant(np.ones(a_shape)), nc.constant(np.ones(b_shape)))
+
+
 def test_softmax_cross_entropy_probabilities_normalized():
     rng = np.random.default_rng(3)
     logits = nc.constant(rng.standard_normal((16, 5)))
