@@ -7,11 +7,15 @@
     probe       logistic-regression probing of a frozen encoder
     gradcheck   finite-difference check of the full model gradient
 
-Configuration: every value can come from a key=value config file
-(``--config``); explicit flags win over the file, the file wins over
-defaults. Each run with a file output writes its fully resolved config
-next to that output as ``<output>.config`` (with the tool version in a
-comment), and resolving that file again reproduces the same settings.
+Configuration: ``SCHEMAS`` states each command's settings once: the
+parser of each key and its default (``REQUIRED`` for a key the command
+needs). Every value can come from a key=value config file (``--config``);
+explicit flags win over the file, the file wins over defaults. List
+settings (``--mlp``, ``--tasks``, ``--l2-grid``) are comma-separated and
+parse to tuples. Each run with a file output writes its fully resolved
+config next to that output as ``<output>.config`` (with the tool version
+in a comment, lists comma-joined), and resolving that file again
+reproduces the same settings.
 
 Exit codes: 0 success, 2 usage or config error (including out-of-range
 values), 3 data error (including files that cannot be read or written),
@@ -69,73 +73,70 @@ def _checked(parse, ok, expected: str):
     return checked
 
 
-def _widths(text: str) -> bool:
-    widths = [int(v) for v in text.split(",")]
-    return len(widths) == 2 and min(widths) >= 1
-
-
-def _tasks(text: str) -> bool:
-    tasks = {t.strip() for t in text.split(",")} - {""}
-    return bool(tasks) and tasks <= set(pb.TASKS)
-
-
 _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _RATE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 
-# key -> (parser, default); None default means optional unless listed in REQUIRED.
-# Parsers reject out-of-range values, as flags (argparse) and in config files.
+REQUIRED = object()  # the default of a key the command cannot run without
+
+# key -> (parser, default); a None default means optional. Parsers reject
+# out-of-range values, as flags (argparse) and in config files.
 SCHEMAS = {
     "gen-fakes": {
-        "strategy": (_checked(str, lambda v: v in fg.STRATEGIES, f"one of {fg.STRATEGIES}"), None),
+        "strategy": (_checked(str, lambda v: v in fg.STRATEGIES, f"one of {fg.STRATEGIES}"), REQUIRED),
         "fakes_per_real": (_COUNT, 1),
-        "seed": (_SEED, None),
-        "in": (str, None),
-        "out": (str, None),
+        "seed": (_SEED, REQUIRED),
+        "in": (str, REQUIRED),
+        "out": (str, REQUIRED),
     },
     "train": {
-        "data": (str, None),
-        "valid": (str, None),
+        "data": (str, REQUIRED),
+        "valid": (str, REQUIRED),
         "embeddings": (str, None),
         "dim": (_COUNT, 300),
         "emb_scale": (_RATE, 1.0),
         "min_count": (_COUNT, 1),
         "hidden": (_COUNT, 2048),
-        "mlp": (_checked(str, _widths, "two integers >= 1, like 1024,512"), "1024,512"),
-        "epochs": (_COUNT, 15),
-        "batch": (_COUNT, 64),
-        "lr": (_RATE, 0.1),
-        "lr_decay": (_checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]"), 0.5),
+        "mlp": (_checked(lambda t: tuple(map(int, t.split(","))), lambda v: len(v) == 2 and min(v) >= 1,
+                         "two integers >= 1, like 1024,512"), (1024, 512)),
+        "epochs": (_COUNT, cl.TrainConfig.epochs),
+        "batch": (_COUNT, cl.TrainConfig.batch_size),
+        "lr": (_RATE, cl.TrainConfig.learning_rate),
+        "lr_decay": (_checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]"),
+                     cl.TrainConfig.lr_decay_factor),
         "precision": (_checked(str, lambda v: v in ("float32", "float64"), "float32 or float64"),
                       "float32"),
-        "freeze_embeddings": (_bool, False),
-        "seed": (_SEED, None),
-        "out": (str, None),
+        "freeze_embeddings": (_bool, cl.TrainConfig.freeze_embeddings),
+        "seed": (_SEED, REQUIRED),
+        "out": (str, REQUIRED),
         "metrics": (str, None),
     },
     "encode": {
-        "model": (str, None),
-        "in": (str, None),
-        "out": (str, None),
+        "model": (str, REQUIRED),
+        "in": (str, REQUIRED),
+        "out": (str, REQUIRED),
         "batch": (_COUNT, 64),
     },
     "evaluate": {
-        "model": (str, None),
-        "data": (str, None),
+        "model": (str, REQUIRED),
+        "data": (str, REQUIRED),
         "report": (str, None),
         "batch": (_COUNT, 64),
     },
     "probe": {
-        "model": (str, None),
-        "corpus": (str, None),
-        "tasks": (_checked(str, _tasks, f"one or more comma-separated tasks from {pb.TASKS}"),
-                  "sentlen,wc,bshift"),
+        "model": (str, REQUIRED),
+        "corpus": (str, REQUIRED),
+        # only tasks drop blank items: "sentlen,,wc" names two tasks, "4,4," is no mlp
+        "tasks": (_checked(lambda t: tuple(v.strip() for v in t.split(",") if v.strip()),
+                           lambda v: len(v) > 0 and set(v) <= set(pb.TASKS),
+                           f"one or more comma-separated tasks from {pb.TASKS}"), pb.TASKS),
         "seed": (_SEED, 0),
-        "report": (str, None),
-        "l2_grid": (_checked(str, lambda v: all(0 < float(x) < math.inf for x in v.split(",")),
-                             "comma-separated numbers > 0"), "1e-4,1e-3,1e-2,1e-1,1"),
-        "max_iter": (_COUNT, 300),
-        "tol": (_RATE, 1e-5),
+        "report": (str, REQUIRED),
+        "l2_grid": (_checked(lambda t: tuple(map(float, t.split(","))),
+                             lambda v: all(0 < x < math.inf for x in v), "comma-separated numbers > 0"),
+                    pb.ProbeConfig.l2_grid),
+        "max_iter": (_COUNT, pb.ProbeConfig.max_iterations),
+        "tol": (_RATE, pb.ProbeConfig.tolerance),
     },
     "gradcheck": {
         "h": (_COUNT, 8),
@@ -150,16 +151,6 @@ SCHEMAS = {
         "threshold": (_RATE, 1e-4),
     },
 }
-
-REQUIRED = {
-    "gen-fakes": ("strategy", "seed", "in", "out"),
-    "train": ("data", "valid", "seed", "out"),
-    "encode": ("model", "in", "out"),
-    "evaluate": ("model", "data"),
-    "probe": ("model", "corpus", "report"),
-    "gradcheck": (),
-}
-
 
 def parse_config_file(path) -> dict[str, str]:
     values = {}
@@ -180,7 +171,8 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def resolve_config(command: str, config_path, flags: dict) -> dict:
-    """Merge defaults, config-file values, and flags (highest precedence)."""
+    """Merge defaults, config-file values, and flags (highest precedence).
+    A required key that none of them sets stays ``REQUIRED``."""
     schema = SCHEMAS[command]
     file_values = parse_config_file(config_path) if config_path else {}
     unknown = set(file_values) - set(schema)
@@ -204,6 +196,8 @@ def resolve_config(command: str, config_path, flags: dict) -> dict:
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(_format_value, value))
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -216,8 +210,8 @@ def write_resolved_config(path, resolved: dict) -> None:
 
 
 def _require(parser, command, resolved):
-    for key in REQUIRED[command]:
-        if resolved.get(key) is None:
+    for key, value in resolved.items():
+        if value is REQUIRED:
             parser.error(f"{command}: --{key.replace('_', '-')} is required")
 
 
@@ -247,8 +241,7 @@ def cmd_train(cfg) -> int:
     else:
         table = init_embeddings(vocab, cfg["dim"], rng, dtype=dtype, scale=cfg["emb_scale"])
     encoder = SentenceEncoder.create(vocab, table, cfg["hidden"], rng)
-    h1, h2 = (int(v) for v in cfg["mlp"].split(","))
-    model = cl.DetectorModel.create(encoder, h1, h2, rng)
+    model = cl.DetectorModel.create(encoder, *cfg["mlp"], rng)
     train_cfg = cl.TrainConfig(batch_size=cfg["batch"], epochs=cfg["epochs"], learning_rate=cfg["lr"],
                                lr_decay_factor=cfg["lr_decay"], seed=cfg["seed"],
                                freeze_embeddings=cfg["freeze_embeddings"])
@@ -291,10 +284,8 @@ def cmd_evaluate(cfg) -> int:
 def cmd_probe(cfg) -> int:
     model = ckpt.load_model(cfg["model"])
     corpus = load_corpus(cfg["corpus"])
-    tasks = [t.strip() for t in cfg["tasks"].split(",") if t.strip()]
-    grid = tuple(float(v) for v in cfg["l2_grid"].split(","))
-    probe_cfg = pb.ProbeConfig(l2_grid=grid, max_iterations=cfg["max_iter"], tolerance=cfg["tol"])
-    results = pb.run_probes(model.encoder, corpus, tasks, seed=cfg["seed"], cfg=probe_cfg)
+    probe_cfg = pb.ProbeConfig(l2_grid=cfg["l2_grid"], max_iterations=cfg["max_iter"], tolerance=cfg["tol"])
+    results = pb.run_probes(model.encoder, corpus, cfg["tasks"], seed=cfg["seed"], cfg=probe_cfg)
     payload = {task: r.to_dict() for task, r in results.items()}
     text = json.dumps(payload, sort_keys=True)
     with open(cfg["report"], "w", encoding="utf-8") as f:
@@ -370,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
             if parse is _bool:
                 p.add_argument(flag, dest=key, action="store_const", const=True, default=None)
             else:
+                shown = default is not None and default is not REQUIRED
                 p.add_argument(flag, dest=key, type=parse, default=None,
-                               help=f"default: {default}" if default is not None else None)
+                               help=f"default: {_format_value(default)}" if shown else None)
     return parser
 
 

@@ -211,7 +211,10 @@ def example_from_json(line: str) -> LabeledExample:
         except AttributeError:  # Sentence splits every token, and only a str has split()
             raise ValueError("tokens must be a list of strings") from None
         record = _record_from_json(obj, len(tokens)) if "strategy" in obj else None
-        return LabeledExample(sent, label, record, obj["source_id"])
+        source_id = obj["source_id"]
+        if not (isinstance(sent.id, str) and isinstance(source_id, str)):
+            raise ValueError("id and source_id must be strings")
+        return LabeledExample(sent, label, record, source_id)
     except KeyError as e:
         raise MalformedLine(f"bad dataset record: missing field {e}")
     except (ValueError, TypeError, EmptySentence, RecursionError) as e:  # RecursionError: JSON too deep

@@ -40,7 +40,7 @@ def test_defaults_match_documented_values():
     assert resolved["batch"] == 64
     assert resolved["lr"] == 0.1
     assert resolved["hidden"] == 2048
-    assert resolved["mlp"] == "1024,512"
+    assert resolved["mlp"] == (1024, 512)
 
 
 def test_flag_beats_config_file(tmp_path):
@@ -59,14 +59,38 @@ def test_config_file_unknown_key_rejected(tmp_path):
 
 
 def test_resolved_config_is_a_fixed_point(tmp_path):
-    resolved = cli.resolve_config("train", None, {"seed": 7, "data": "d.jsonl",
-                                                  "valid": "v.jsonl", "out": "m.ckpt"})
-    out = tmp_path / "resolved.cfg"
-    cli.write_resolved_config(out, resolved)
-    again = cli.resolve_config("train", out, {})
-    assert again == resolved
-    text = out.read_text()
-    assert f"# fakesent {__version__}" in text
+    probe = {"model": "m.ckpt", "corpus": "c.txt", "report": "r.json"}
+    inputs = [
+        ("train", {"seed": 7, "data": "d.jsonl", "valid": "v.jsonl", "out": "m.ckpt"}),
+        ("probe", {**probe, "tasks": ("bshift", "wc"), "l2_grid": (0.5, 2e-3)}),
+        ("probe", probe),
+    ]
+    for i, (command, flags) in enumerate(inputs):
+        resolved = cli.resolve_config(command, None, flags)
+        out = tmp_path / f"resolved{i}.cfg"
+        cli.write_resolved_config(out, resolved)
+        again = cli.resolve_config(command, out, {})
+        assert again == resolved
+        text = out.read_text()
+        assert f"# fakesent {__version__}" in text
+    assert "\nl2_grid=0.0001,0.001,0.01,0.1,1.0\n" in text  # the default grid
+
+
+def test_every_schema_default_round_trips_through_its_parser():
+    for command, schema in cli.SCHEMAS.items():
+        for key, (parse, default) in schema.items():
+            if default is not None and default is not cli.REQUIRED:
+                assert parse(cli._format_value(default)) == default, (command, key)
+
+
+def test_list_settings_in_a_config_file_parse_to_tuples(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mlp= 4, 4\n")
+    assert cli.resolve_config("train", cfg, {})["mlp"] == (4, 4)
+    cfg.write_text("tasks=sentlen,,wc\nl2_grid=1e-4,1\n")
+    resolved = cli.resolve_config("probe", cfg, {})
+    assert resolved["tasks"] == ("sentlen", "wc")
+    assert resolved["l2_grid"] == (1e-4, 1.0) and all(type(x) is float for x in resolved["l2_grid"])
 
 
 def test_unknown_flag_exits_2():
@@ -112,11 +136,16 @@ def test_train_on_a_record_with_a_bad_label_is_a_data_error(tiny_corpus, tmp_pat
         ["train", "--batch", "0"],
         ["train", "--epochs", "0"],
         ["train", "--mlp", "0,4"],
+        ["train", "--mlp", "4,4,"],
+        ["train", "--mlp", ",4,4"],
         ["train", "--precision", "float16"],
         ["train", "--hidden", "0"],
         ["train", "--dim", "0"],
         ["gen-fakes", "--fakes-per-real", "0"],
         ["probe", "--l2-grid", "0"],
+        ["probe", "--l2-grid", "1e-3,"],
+        ["probe", "--l2-grid", "nan"],
+        ["probe", "--tasks", "nope"],
         ["probe", "--tasks", ","],
         ["probe", "--tasks", ""],
     ],

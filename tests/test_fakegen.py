@@ -236,6 +236,9 @@ _REAL_LINE = '{"id": "0", "tokens": ["a", "b", "c"], "label": 1, "source_id": "0
         '{"id": "0", "tokens": ["a", 2], "label": 1, "source_id": "0"}',
         '{"id": "0", "tokens": [], "label": 1, "source_id": "0"}',
         '{"id": "0", "tokens": ["a"], "label": 1}',
+        '{"id": [1, 2], "tokens": ["a"], "label": 1, "source_id": null}',
+        '{"id": 3, "tokens": ["b", "a"], "label": 0, "source_id": 4, "strategy": "shuffle", "i": 0, "j": 1}',
+        '{"id": "0", "tokens": ["a", "b", "c"], "label": 1, "source_id": null}',
         '["a", "b"]',
         "not json",
     ],
