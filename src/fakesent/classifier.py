@@ -45,8 +45,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if not 0 < self.lr_decay_factor <= 1:
             raise ValueError("lr_decay_factor must be in (0, 1]")
 

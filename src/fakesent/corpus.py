@@ -177,8 +177,11 @@ def load_embeddings(
 
 
 def text_lines(path) -> Iterator[tuple[int, str]]:
-    """(1-based line number, line) for each line of a UTF-8 text file; MalformedLine if not UTF-8."""
-    with open(path, encoding="utf-8") as f:
+    """(1-based line number, line) for each line of a UTF-8 text file; MalformedLine if not UTF-8.
+
+    A leading byte-order mark is dropped, so a file saved with one reads as one saved without.
+    """
+    with open(path, encoding="utf-8-sig") as f:
         try:
             yield from enumerate(f, start=1)
         except UnicodeDecodeError as e:

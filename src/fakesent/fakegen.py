@@ -122,7 +122,7 @@ def sentence_rng(run_seed: int, sentence_id: str) -> np.random.Generator:
     """
     digest = hashlib.sha256(sentence_id.encode("utf-8")).digest()
     words = np.frombuffer(digest[:16], dtype=np.uint32)
-    return np.random.default_rng([np.uint32(run_seed & 0xFFFFFFFF), *words])
+    return np.random.default_rng([int(run_seed), *words])  # any seed >= 0, not just 32 bits
 
 
 def build_dataset(

@@ -1,13 +1,14 @@
 """Minimal dense-tensor core: tape-based reverse-mode differentiation and SGD.
 
 Everything the encoder and classifier compute is assembled from the ops in
-this module. Each op computes its forward value eagerly on numpy arrays and,
-when a Tape is supplied, records a closure implementing its backward rule.
-``backward`` replays the tape in reverse and accumulates gradients into the
-Parameters the tape reaches. A Parameter enters the graph itself: every op
-takes one wherever it takes a Tensor, reads its value as ``data`` and has
-``backward`` add its gradient straight into ``param.grad``, so one forward
-serves training and inference.
+this module. There is one node type: a Parameter is a Tensor that adds a
+name and a gradient buffer that lives across steps, so every op takes one
+wherever it takes a Tensor and ``backward`` adds its gradient straight into
+``param.grad``; one forward serves training and inference. There is one
+output rule: each op computes its forward value eagerly on numpy arrays and
+returns it through ``_out``, which wraps it in a Tensor and, when a Tape is
+supplied, records the op's backward closure. ``backward`` replays the tape
+in reverse and accumulates gradients into the Parameters the tape reaches.
 
 The encoder's BiLSTM is one fused op, ``bilstm``, with one hand-written
 backpropagation-through-time rule, so a training step's tape length does not
@@ -35,8 +36,11 @@ guarantee of the encoder:
 * All other forward ops are elementwise or pure indexing, which numpy
   evaluates value-deterministically.
 
-Every forward output (in ``bilstm``, the input projections and every step's
-pre-activation) is checked for NaN/Inf and raises NonFiniteValue.
+Every forward output of an op that computes new values (in ``bilstm``, the
+input projections and every step's pre-activation) is checked for NaN/Inf
+and raises NonFiniteValue; ops that only index or move values
+(``narrow``, ``pick``, ``rows``, ``stack``, ``reshape``, ``reverse_within``)
+are not checked.
 """
 
 from __future__ import annotations
@@ -71,30 +75,31 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
-class Parameter:
-    """A named trainable array with a persistent gradient buffer.
+class Parameter(Tensor):
+    """A Tensor with a name whose gradient buffer persists across steps.
 
-    Ops take a Parameter wherever they take a Tensor: it reads as its value,
-    and ``backward`` accumulates straight into ``grad``, which is never None.
+    ``grad`` is never None: ``backward`` accumulates into it and
+    ``zero_grad`` clears it in place. ``value`` is a read-only name for
+    ``data``; write a new value into the array, not the attribute.
     """
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, value: np.ndarray):
+        super().__init__(value)
         self.name = name
-        self.value = value
         # not zeros_like: fresh zero pages stay unwritten when nothing is trained
         self.grad = np.zeros(value.shape, dtype=value.dtype)
 
     @property
-    def data(self) -> np.ndarray:
-        return self.value
+    def value(self) -> np.ndarray:
+        return self.data
 
     def zero_grad(self) -> None:
         self.grad[...] = 0
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
+        return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
 BackwardFn = Callable[[np.ndarray], Sequence[np.ndarray | None]]
@@ -118,6 +123,14 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._records)
+
+
+def _out(tape: Tape | None, data: np.ndarray, inputs: tuple[Tensor, ...], back: BackwardFn) -> Tensor:
+    """An op's output: ``data`` as a Tensor, recorded with its backward rule when taped."""
+    out = Tensor(data)
+    if tape is not None:
+        tape.record(out, inputs, back)
+    return out
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -161,7 +174,7 @@ def sgd_step(params: Sequence[Parameter], learning_rate: float) -> None:
     for p in params:
         if not np.isfinite(p.grad).all():
             raise NonFiniteValue(f"non-finite gradient for {p.name}")
-        p.value -= learning_rate * p.grad
+        p.data -= learning_rate * p.grad
         p.zero_grad()
 
 
@@ -201,14 +214,11 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor, transpose_b: bool = False) -
     if ad.shape[1] != inner:
         raise ShapeMismatch(f"matmul inner dims differ: {ad.shape} vs {bd.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(_check_finite(_mm(ad, bd, transpose_b), "matmul"))
-    if tape is not None:
-        if transpose_b:
-            # out = a b^T : da = g b ; db = g^T a
-            tape.record(out, (a, b), lambda g: (g @ bd, g.T @ ad))
-        else:
-            tape.record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
-    return out
+        out_d = _check_finite(_mm(ad, bd, transpose_b), "matmul")
+    if transpose_b:
+        # out = a b^T : da = g b ; db = g^T a
+        return _out(tape, out_d, (a, b), lambda g: (g @ bd, g.T @ ad))
+    return _out(tape, out_d, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -217,11 +227,9 @@ def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     if ad.shape != bd.shape and not (bd.ndim == 1 and ad.ndim >= 1 and ad.shape[-1] == bd.shape[0]):
         raise ShapeMismatch(f"add shapes {ad.shape} and {bd.shape}")
     with np.errstate(over="ignore"):
-        out = Tensor(_check_finite(ad + bd, "add"))
-    if tape is not None:
-        lead = ad.ndim - bd.ndim
-        tape.record(out, (a, b), lambda g: (g, g.sum(axis=tuple(range(lead))) if lead else g))
-    return out
+        out_d = _check_finite(ad + bd, "add")
+    lead = ad.ndim - bd.ndim
+    return _out(tape, out_d, (a, b), lambda g: (g, g.sum(axis=tuple(range(lead))) if lead else g))
 
 
 def mul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -230,59 +238,40 @@ def mul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     if ad.shape != bd.shape:
         raise ShapeMismatch(f"mul shapes {ad.shape} and {bd.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(_check_finite(ad * bd, "mul"))
-    if tape is not None:
-        tape.record(out, (a, b), lambda g: (g * bd, g * ad))
-    return out
+        out_d = _check_finite(ad * bd, "mul")
+    return _out(tape, out_d, (a, b), lambda g: (g * bd, g * ad))
 
 
 def concat(tape: Tape | None, parts: Sequence[Tensor], axis: int) -> Tensor:
-    out = Tensor(_check_finite(np.concatenate([p.data for p in parts], axis=axis), "concat"))
-    if tape is not None:
-        sizes = [p.data.shape[axis] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
+    out_d = _check_finite(np.concatenate([p.data for p in parts], axis=axis), "concat")
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    return _out(tape, out_d, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
 
-        def back(g, axis=axis, splits=splits):
-            return tuple(np.split(g, splits, axis=axis))
 
-        tape.record(out, tuple(parts), back)
-    return out
+def _select(tape: Tape | None, x: Tensor, axis: int, key: int | slice) -> Tensor:
+    """x indexed by ``key`` along ``axis``; the backward rule scatters g into zeros."""
+    idx = [slice(None)] * x.data.ndim  # a list, so a negative axis counts from the end
+    idx[axis] = key
+    idx = tuple(idx)
+
+    def back(g):
+        gx = np.zeros_like(x.data)
+        gx[idx] = g
+        return (gx,)
+
+    return _out(tape, x.data[idx], (x,), back)
 
 
 def narrow(tape: Tape | None, x: Tensor, axis: int, start: int, size: int) -> Tensor:
     """Contiguous slice of ``size`` entries along ``axis`` starting at ``start``."""
     if start < 0 or start + size > x.data.shape[axis]:
         raise ShapeMismatch(f"narrow [{start}:{start + size}] out of range for {x.data.shape}")
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, start + size)
-    idx = tuple(idx)
-    out = Tensor(x.data[idx])
-    if tape is not None:
-
-        def back(g):
-            gx = np.zeros_like(x.data)
-            gx[idx] = g
-            return (gx,)
-
-        tape.record(out, (x,), back)
-    return out
+    return _select(tape, x, axis, slice(start, start + size))
 
 
 def pick(tape: Tape | None, x: Tensor, axis: int, index: int) -> Tensor:
     """Select one entry along ``axis``, dropping that axis."""
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = index
-    idx = tuple(idx)
-    out = Tensor(x.data[idx])
-    if tape is not None:
-
-        def back(g):
-            gx = np.zeros_like(x.data)
-            gx[idx] = g
-            return (gx,)
-
-        tape.record(out, (x,), back)
-    return out
+    return _select(tape, x, axis, index)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -292,19 +281,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
-    out_d = _sigmoid(x.data)
-    out = Tensor(_check_finite(out_d, "sigmoid"))
-    if tape is not None:
-        tape.record(out, (x,), lambda g: (g * (out_d * (1.0 - out_d)),))
-    return out
+    out_d = _check_finite(_sigmoid(x.data), "sigmoid")
+    return _out(tape, out_d, (x,), lambda g: (g * (out_d * (1.0 - out_d)),))
 
 
 def tanh(tape: Tape | None, x: Tensor) -> Tensor:
-    out_d = np.tanh(x.data)
-    out = Tensor(_check_finite(out_d, "tanh"))
-    if tape is not None:
-        tape.record(out, (x,), lambda g: (g * (1.0 - out_d * out_d),))
-    return out
+    out_d = _check_finite(np.tanh(x.data), "tanh")
+    return _out(tape, out_d, (x,), lambda g: (g * (1.0 - out_d * out_d),))
 
 
 def _lstm_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray, keep: bool):
@@ -382,12 +365,11 @@ def bilstm(
     for weights in (fwd, bwd):
         if tuple(p.data.shape for p in weights) != shapes:
             raise ShapeMismatch(f"bilstm (w, b, u) {[p.data.shape for p in weights]}, want {shapes}")
-    rows_ix, ar = np.arange(bsz)[:, None], np.arange(t)[None, :]
-    rev = np.where(ar < lengths[:, None], lengths[:, None] - 1 - ar, ar)  # reverse_within's map
+    rev = _reversal(lengths, bsz, t)
 
     def read_order(k, a):
         # direction k's view of a (batch, T, ...) array; the reversal is its own inverse
-        return a if k == 0 else a[rows_ix, rev]
+        return a if k == 0 else a[rev]
 
     out_d = np.empty((bsz, t, 2 * hidden), dtype=xd.dtype)
     saved = []
@@ -396,21 +378,18 @@ def bilstm(
         states, steps = _lstm_forward(xk, w.data, b.data, u.data, keep=tape is not None)
         out_d[:, :, k * hidden : (k + 1) * hidden] = read_order(k, states)
         saved.append((xk, steps))
-    out = Tensor(out_d)
-    if tape is not None:
 
-        def back(g):
-            grads = []
-            for k, (w, _, u) in enumerate((fwd, bwd)):
-                xk, steps = saved[k]
-                dstates = read_order(k, g[:, :, k * hidden : (k + 1) * hidden])
-                dx, dw, db, du = _lstm_backward(dstates, xk, w.data, u.data, steps)
-                grads.append((read_order(k, dx), dw, db, du))
-            (dx_f, *dfwd), (dx_b, *dbwd) = grads
-            return (dx_f + dx_b, *dfwd, *dbwd)
+    def back(g):
+        grads = []
+        for k, (w, _, u) in enumerate((fwd, bwd)):
+            xk, steps = saved[k]
+            dstates = read_order(k, g[:, :, k * hidden : (k + 1) * hidden])
+            dx, dw, db, du = _lstm_backward(dstates, xk, w.data, u.data, steps)
+            grads.append((read_order(k, dx), dw, db, du))
+        (dx_f, *dfwd), (dx_b, *dbwd) = grads
+        return (dx_f + dx_b, *dfwd, *dbwd)
 
-        tape.record(out, (x, *fwd, *bwd), back)
-    return out
+    return _out(tape, out_d, (x, *fwd, *bwd), back)
 
 
 def log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -444,16 +423,14 @@ def softmax_cross_entropy(
         raise ShapeMismatch(f"labels must lie in [0, {c})")
     logp, probs = log_softmax(ld)
     loss_val = -logp[np.arange(n), labels].mean()
-    out = Tensor(_check_finite(np.asarray(loss_val, dtype=ld.dtype), "softmax_cross_entropy"))
-    if tape is not None:
+    out_d = _check_finite(np.asarray(loss_val, dtype=ld.dtype), "softmax_cross_entropy")
 
-        def back(g):
-            d = probs.copy()
-            d[np.arange(n), labels] -= 1.0  # probs - onehot(labels)
-            return (d * (g / n),)
+    def back(g):
+        d = probs.copy()
+        d[np.arange(n), labels] -= 1.0  # probs - onehot(labels)
+        return (d * (g / n),)
 
-        tape.record(out, (logits,), back)
-    return out, probs
+    return _out(tape, out_d, (logits,), back), probs
 
 
 def max_over_time(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> tuple[Tensor, np.ndarray]:
@@ -467,17 +444,14 @@ def max_over_time(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> tuple[Te
     masked = x.data.copy()
     masked[mask] = -np.inf
     am = np.argmax(masked, axis=1)  # (b, k)
-    out_d = np.take_along_axis(x.data, am[:, None, :], axis=1)[:, 0, :]
-    out = Tensor(_check_finite(out_d, "max_over_time"))
-    if tape is not None:
+    out_d = _check_finite(np.take_along_axis(x.data, am[:, None, :], axis=1)[:, 0, :], "max_over_time")
 
-        def back(g):
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(gx, am[:, None, :], g[:, None, :], axis=1)
-            return (gx,)
+    def back(g):
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, am[:, None, :], g[:, None, :], axis=1)
+        return (gx,)
 
-        tape.record(out, (x,), back)
-    return out, am
+    return _out(tape, out_d, (x,), back), am
 
 
 def rows(tape: Tape | None, table: Tensor, indices: np.ndarray) -> Tensor:
@@ -485,55 +459,44 @@ def rows(tape: Tape | None, table: Tensor, indices: np.ndarray) -> Tensor:
     if table.data.ndim != 2:
         raise ShapeMismatch(f"rows needs a 2-D table, got {table.data.shape}")
     indices = np.asarray(indices)
-    out = Tensor(table.data[indices])
-    if tape is not None:
 
-        def back(g):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, indices, g)
-            return (gt,)
+    def back(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, indices, g)
+        return (gt,)
 
-        tape.record(out, (table,), back)
-    return out
+    return _out(tape, table.data[indices], (table,), back)
 
 
 def stack(tape: Tape | None, parts: Sequence[Tensor], axis: int) -> Tensor:
     """Stack same-shape tensors along a new axis."""
-    out = Tensor(np.stack([p.data for p in parts], axis=axis))
-    if tape is not None:
-        n = len(parts)
-
-        def back(g):
-            return tuple(np.take(g, i, axis=axis) for i in range(n))
-
-        tape.record(out, tuple(parts), back)
-    return out
+    n = len(parts)
+    return _out(tape, np.stack([p.data for p in parts], axis=axis), tuple(parts),
+                lambda g: tuple(np.take(g, i, axis=axis) for i in range(n)))
 
 
 def reshape(tape: Tape | None, x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-    if tape is not None:
-        orig = x.data.shape
-        tape.record(out, (x,), lambda g: (g.reshape(orig),))
-    return out
+    orig = x.data.shape
+    return _out(tape, x.data.reshape(shape), (x,), lambda g: (g.reshape(orig),))
+
+
+def _reversal(lengths: np.ndarray, bsz: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pair that reverses each row's first ``lengths[r]`` of ``t`` steps, tail in order.
+
+    The map is an involution: reversing a prefix twice is the identity.
+    """
+    ar = np.arange(t)[None, :]
+    return np.arange(bsz)[:, None], np.where(ar < lengths[:, None], lengths[:, None] - 1 - ar, ar)
 
 
 def reverse_within(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> Tensor:
     """Reverse each row's first ``lengths[b]`` steps along axis 1; tail unchanged.
 
-    The per-row index map is an involution (reversing a prefix twice is the
-    identity), so the backward rule is the same gather applied to the
-    incoming gradient.
+    The index map is an involution, so the backward rule is the same gather
+    applied to the incoming gradient.
     """
-    b, t = x.data.shape[0], x.data.shape[1]
-    lengths = np.asarray(lengths)
-    ar = np.arange(t)[None, :]
-    idx = np.where(ar < lengths[:, None], lengths[:, None] - 1 - ar, ar)
-    rows_ix = np.arange(b)[:, None]
-    out = Tensor(x.data[rows_ix, idx])
-    if tape is not None:
-        tape.record(out, (x,), lambda g: (g[rows_ix, idx],))
-    return out
+    rev = _reversal(np.asarray(lengths), x.data.shape[0], x.data.shape[1])
+    return _out(tape, x.data[rev], (x,), lambda g: (g[rev],))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ chosen probe is reported. The encoder is never touched.
 from __future__ import annotations
 
 import hashlib
+import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
@@ -41,8 +42,8 @@ class ProbeConfig:
     tolerance: float = 1e-5
 
     def __post_init__(self):
-        if not self.l2_grid or any(l2 <= 0 for l2 in self.l2_grid):
-            raise ValueError("l2_grid must be non-empty and strictly positive")
+        if not self.l2_grid or not all(0 < l2 < math.inf for l2 in self.l2_grid):
+            raise ValueError("l2_grid must be non-empty, finite and strictly positive")
 
 
 @dataclass

@@ -111,6 +111,9 @@ def test_train_config_validation():
         cl.TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         cl.TrainConfig(learning_rate=0.0)
+    for not_finite in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cl.TrainConfig(learning_rate=not_finite)
 
 
 def test_first_batch_loss_near_ln2():

@@ -183,6 +183,13 @@ def test_build_dataset_reproducible_and_order_independent_per_sentence():
     assert sorted(ex.sentence.tokens for ex in rev) == sorted(ex.sentence.tokens for ex in d1)
 
 
+def test_seeds_that_agree_in_their_low_32_bits_give_different_datasets():
+    rng = np.random.default_rng(34)
+    corpus = [Sentence(random_sentence(rng, min_len=4).tokens, str(i)) for i in range(50)]
+    low, high = (fg.build_dataset(corpus, fg.WORD_SHUFFLE, 2, seed=s) for s in (0, 2**32))
+    assert high != low
+
+
 def test_every_fake_differs_from_source():
     rng = np.random.default_rng(44)
     corpus = [Sentence(random_sentence(rng, min_len=2).tokens, str(i)) for i in range(300)]

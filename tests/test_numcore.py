@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,67 @@ def test_bilstm_shape_mismatch():
     ]:
         with pytest.raises(ShapeMismatch):
             nc.bilstm(None, bad_x, bad_lengths, bad_fwd, bad_bwd)
+
+
+def op_cases():
+    """One call per op of ``__all__`` that takes a tape: op name -> args after the tape."""
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((3, 4))
+    seq = rng.standard_normal((2, 5, 3))
+    lengths = np.array([5, 2])
+    directions = bilstm_params(rng, 3, 2)
+    return {
+        "matmul": (nc.constant(x), nc.constant(rng.standard_normal((5, 4))), True),
+        "add": (nc.constant(x), nc.constant(rng.standard_normal(4))),
+        "mul": (nc.constant(x), nc.constant(rng.standard_normal((3, 4)))),
+        "concat": ([nc.constant(x), nc.constant(rng.standard_normal((3, 2)))], 1),
+        "narrow": (nc.constant(x), 1, 1, 2),
+        "pick": (nc.constant(x), 0, 2),
+        "sigmoid": (nc.constant(x),),
+        "tanh": (nc.constant(x),),
+        "bilstm": (nc.constant(seq), lengths, tuple(directions[:3]), tuple(directions[3:])),
+        "softmax_cross_entropy": (nc.constant(x), np.array([0, 3, 1])),
+        "max_over_time": (nc.constant(seq), lengths),
+        "rows": (nc.constant(x), np.array([2, 0, 2])),
+        "stack": ([nc.constant(x), nc.constant(x + 1.0)], 1),
+        "reshape": (nc.constant(x), (4, 3)),
+        "reverse_within": (nc.constant(seq), lengths),
+    }
+
+
+def test_every_taping_op_has_an_output_rule_case():
+    functions = {name: getattr(nc, name) for name in nc.__all__ if inspect.isfunction(getattr(nc, name))}
+    taping = {name for name, f in functions.items() if "tape" in inspect.signature(f).parameters}
+    assert taping - {"backward"} == set(op_cases())
+
+
+@pytest.mark.parametrize("name", sorted(op_cases()))
+def test_taped_call_adds_one_record_and_the_untaped_bits(name):
+    args = op_cases()[name]
+    op = getattr(nc, name)
+    tape = nc.Tape()
+    taped, untaped = op(tape, *args), op(None, *args)
+    assert len(tape) == 1
+    if isinstance(taped, tuple):  # (output, side result) ops
+        assert np.array_equal(taped[1], untaped[1])
+        taped, untaped = taped[0], untaped[0]
+    assert tape._records[0][0] is taped
+    assert taped.data.dtype == untaped.data.dtype and np.array_equal(taped.data, untaped.data)
+
+
+@pytest.mark.parametrize("name, args", [("narrow", (1, 2)), ("pick", (1,))])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_narrow_and_pick_count_a_negative_axis_from_the_end(name, args, axis):
+    x = nc.Parameter("x", np.random.default_rng(5).standard_normal((3, 4, 5)))
+    results = []
+    for ax in (axis, axis - x.data.ndim):
+        tape = nc.Tape()
+        out = getattr(nc, name)(tape, x, ax, *args)
+        nc.backward(tape, scalar_sum(tape, out))
+        results.append((out.data, x.grad.copy()))
+        x.zero_grad()
+    (out_pos, grad_pos), (out_neg, grad_neg) = results
+    assert np.array_equal(out_pos, out_neg) and np.array_equal(grad_pos, grad_neg)
 
 
 def test_concat_and_narrow_roundtrip_gradients():

@@ -252,6 +252,9 @@ def test_config_rejects_bad_grid():
         pb.ProbeConfig(l2_grid=())
     with pytest.raises(ValueError):
         pb.ProbeConfig(l2_grid=(0.1, -1.0))
+    for not_finite in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            pb.ProbeConfig(l2_grid=(0.1, not_finite))
 
 
 def test_run_probes_encodes_each_sentence_once(monkeypatch):

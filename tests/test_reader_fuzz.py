@@ -7,6 +7,7 @@ the CLI command that reads such a file must print exactly one
 ``<category>: <message>`` line on stderr and exit with that category's code.
 """
 
+import codecs
 import contextlib
 import io
 import json
@@ -140,3 +141,22 @@ def test_config_reader_raises_only_package_errors(tmp_path, raw):
     p.write_bytes(raw)
     if rejection(lambda path: cli.resolve_config("train", path, {}), p) is not None:
         assert_cli_prints_one_line(["train", "--config", p], "usage-error", 2)
+
+
+def test_a_leading_byte_order_mark_is_not_part_of_the_data(tmp_path):
+    vocab = cp.build_vocab([cp.Sentence(("the", "cat"), "0")])
+    readers = {
+        "corpus.txt": cp.load_corpus,
+        "small.jsonl": fg.load_dataset,
+        "vec.txt": lambda path: cp.load_embeddings(path, vocab, np.random.default_rng(0)).tolist(),
+        "run.cfg": lambda path: cli.resolve_config("gen-fakes", path, {}),
+    }
+    write_small_dataset(tmp_path)
+    (tmp_path / "corpus.txt").write_text("The cat sat\nthe end\n", encoding="utf-8")
+    (tmp_path / "vec.txt").write_text("the 1.0 2.0\ncat 0.5 -1.5\n", encoding="utf-8")
+    (tmp_path / "run.cfg").write_text("seed=3\nstrategy=drop\n", encoding="utf-8")
+    for name, read in readers.items():
+        plain = tmp_path / name
+        marked = tmp_path / f"bom-{name}"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert read(marked) == read(plain), name
