@@ -122,13 +122,11 @@ class DetectorModel:
         return nc.softmax_cross_entropy(tape, logits, labels)
 
     def predict_proba(self, sentences: Sequence[Sentence], batch_size: int = 64) -> np.ndarray:
-        """p(REAL) per sentence, computed in padded chunks."""
+        """p(REAL) per sentence: the head over ``encode_batch`` encodings, chunk by chunk."""
         out = np.empty(len(sentences), dtype=np.float64)
         for start in range(0, len(sentences), batch_size):
             chunk = sentences[start : start + batch_size]
-            idx, lengths = self.encoder.prepare_batch(chunk)
-            z, _ = self.encoder.forward_batch(None, idx, lengths)
-            logits = self.head.forward(None, z)
+            logits = self.head.forward(None, nc.Tensor(self.encoder.encode_batch(chunk, batch_size)))
             out[start : start + len(chunk)] = nc.log_softmax(logits.data)[1][:, REAL]
         return out
 
@@ -153,7 +151,6 @@ class TrainReport:
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
     best_valid_accuracy: float = 0.0
-    checkpoint_path: str | None = None
 
 
 def _accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -168,7 +165,8 @@ def train(
     checkpoint_path,
     metrics_path=None,
 ) -> TrainReport:
-    """Minibatch SGD over the labeled dataset; returns the per-epoch report.
+    """Minibatch SGD over the labeled dataset, saving the best epoch's model
+    to ``checkpoint_path``; returns the per-epoch report.
 
     Fully reproducible: the same (data, config, seed, initial model) gives
     a bit-identical checkpoint and metrics file.
@@ -222,9 +220,7 @@ def train(
             if valid_acc > report.best_valid_accuracy or report.best_epoch == 0:
                 report.best_epoch = epoch
                 report.best_valid_accuracy = valid_acc
-                if checkpoint_path is not None:
-                    ckpt.save_model(checkpoint_path, model)
-                    report.checkpoint_path = str(checkpoint_path)
+                ckpt.save_model(checkpoint_path, model)
             else:
                 lr *= cfg.lr_decay_factor
     finally:

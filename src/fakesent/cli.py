@@ -25,6 +25,7 @@ values), 3 data error (including files that cannot be read or written),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -251,7 +252,7 @@ def cmd_train(cfg) -> int:
     write_resolved_config(cfg["out"] + ".config", resolved)
     report = cl.train(model, train_data, valid_data, train_cfg, cfg["out"], metrics_path)
     print(json.dumps({"best_epoch": report.best_epoch, "best_valid_accuracy": report.best_valid_accuracy,
-                      "checkpoint": report.checkpoint_path, "metrics": str(metrics_path)}))
+                      "checkpoint": cfg["out"], "metrics": str(metrics_path)}))
     return 0
 
 
@@ -346,6 +347,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"usage-error: {self.prog}: {message}\n")
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fakesent",

@@ -46,9 +46,6 @@ class Sentence:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
 
 def tokenize(line: str, id: str = "") -> Sentence:
     """Lower-case and whitespace-split a raw line into a Sentence."""
@@ -188,15 +185,9 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
             raise MalformedLine(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
-def read_corpus(path) -> Iterator[Sentence]:
-    """Yield one Sentence per non-blank line, ids being 0-based line numbers."""
-    for lineno, line in text_lines(path):
-        if line.strip():
-            yield tokenize(line, id=str(lineno - 1))
-
-
 def load_corpus(path) -> list[Sentence]:
-    sentences = list(read_corpus(path))
+    """One Sentence per non-blank line, ids being 0-based line numbers."""
+    sentences = [tokenize(line, id=str(lineno - 1)) for lineno, line in text_lines(path) if line.strip()]
     if not sentences:
         raise EmptyCorpus(f"{Path(path)}: no sentences")
     return sentences

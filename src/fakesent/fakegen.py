@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -227,18 +227,15 @@ def write_dataset(path, examples: Iterable[LabeledExample]) -> None:
             f.write(example_to_json(ex) + "\n")
 
 
-def read_dataset(path) -> Iterator[LabeledExample]:
+def load_dataset(path) -> list[LabeledExample]:
+    """One example per non-blank line; a bad record is a MalformedLine naming its path and line."""
+    examples = []
     for lineno, line in text_lines(path):
         if line.strip():
             try:
-                example = example_from_json(line)
+                examples.append(example_from_json(line))
             except MalformedLine as e:
                 raise MalformedLine(f"{path}:{lineno}: {e}") from None
-            yield example
-
-
-def load_dataset(path) -> list[LabeledExample]:
-    examples = list(read_dataset(path))
     if not examples:
         raise EmptyDataset(f"{path}: no examples")
     return examples

@@ -67,10 +67,6 @@ class Tensor:
         self.data = data
         self.grad: np.ndarray | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -194,14 +190,14 @@ def constant(data) -> Tensor:
 _ROW_TILE = 64
 
 
-def _mm(a: np.ndarray, b: np.ndarray, transpose_b: bool) -> np.ndarray:
-    # a @ b (or a @ b.T) as one gemm per _ROW_TILE rows of a, all of the
-    # same shape; the zero rows padding the last tile are sliced off again.
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a @ b as one gemm per _ROW_TILE rows of a, all of the same shape; the
+    # zero rows padding the last tile are sliced off again.
     n, k = a.shape
     pad = -n % _ROW_TILE
     if pad:
         a = np.concatenate([a, np.zeros((pad, k), dtype=a.dtype)])
-    out = a.reshape(-1, _ROW_TILE, k) @ (b.T if transpose_b else b)
+    out = a.reshape(-1, _ROW_TILE, k) @ b
     return out.reshape(n + pad, out.shape[-1])[:n]
 
 
@@ -214,7 +210,7 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor, transpose_b: bool = False) -
     if ad.shape[1] != inner:
         raise ShapeMismatch(f"matmul inner dims differ: {ad.shape} vs {bd.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out_d = _check_finite(_mm(ad, bd, transpose_b), "matmul")
+        out_d = _check_finite(_mm(ad, bd.T if transpose_b else bd), "matmul")
     if transpose_b:
         # out = a b^T : da = g b ; db = g^T a
         return _out(tape, out_d, (a, b), lambda g: (g @ bd, g.T @ ad))
@@ -248,10 +244,13 @@ def concat(tape: Tape | None, parts: Sequence[Tensor], axis: int) -> Tensor:
     return _out(tape, out_d, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
-def _select(tape: Tape | None, x: Tensor, axis: int, key: int | slice) -> Tensor:
-    """x indexed by ``key`` along ``axis``; the backward rule scatters g into zeros."""
+def _select(tape: Tape | None, x: Tensor, axis: int, start: int, stop: int, keep_axis: bool) -> Tensor:
+    """Entries [start, stop) along ``axis``, or entry ``start`` without the axis unless
+    ``keep_axis``; the backward rule scatters g into zeros."""
+    if start < 0 or stop > x.data.shape[axis]:
+        raise ShapeMismatch(f"[{start}:{stop}] out of range along axis {axis} of {x.data.shape}")
     idx = [slice(None)] * x.data.ndim  # a list, so a negative axis counts from the end
-    idx[axis] = key
+    idx[axis] = slice(start, stop) if keep_axis else start
     idx = tuple(idx)
 
     def back(g):
@@ -264,14 +263,12 @@ def _select(tape: Tape | None, x: Tensor, axis: int, key: int | slice) -> Tensor
 
 def narrow(tape: Tape | None, x: Tensor, axis: int, start: int, size: int) -> Tensor:
     """Contiguous slice of ``size`` entries along ``axis`` starting at ``start``."""
-    if start < 0 or start + size > x.data.shape[axis]:
-        raise ShapeMismatch(f"narrow [{start}:{start + size}] out of range for {x.data.shape}")
-    return _select(tape, x, axis, slice(start, start + size))
+    return _select(tape, x, axis, start, start + size, keep_axis=True)
 
 
 def pick(tape: Tape | None, x: Tensor, axis: int, index: int) -> Tensor:
     """Select one entry along ``axis``, dropping that axis."""
-    return _select(tape, x, axis, index)
+    return _select(tape, x, axis, index, index + 1, keep_axis=False)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -299,7 +296,7 @@ def _lstm_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray, ke
     bsz, t, d = x.shape
     hidden = u.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        proj = _check_finite(_mm(x.reshape(bsz * t, d), w, transpose_b=True) + b, "bilstm")
+        proj = _check_finite(_mm(x.reshape(bsz * t, d), w.T) + b, "bilstm")
     proj = proj.reshape(bsz, t, 4 * hidden)
     h = np.zeros((bsz, hidden), dtype=x.dtype)
     c = h.copy()
@@ -307,7 +304,7 @@ def _lstm_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray, ke
     saved = []  # per step (h_prev, c_prev, i, f, o, g, tanh(c)) for the backward rule
     for s in range(t):
         with np.errstate(over="ignore", invalid="ignore"):
-            pre = _check_finite(proj[:, s] + _mm(h, u, transpose_b=True), "bilstm")
+            pre = _check_finite(proj[:, s] + _mm(h, u.T), "bilstm")
         i, f, o = (_sigmoid(pre[:, k * hidden : (k + 1) * hidden]) for k in range(3))
         g = np.tanh(pre[:, 3 * hidden :])
         h_prev, c_prev = h, c
@@ -356,16 +353,16 @@ def bilstm(
     the forward state after the prefix up to t, then the backward state after
     the suffix from t. The whole op is one tape record.
     """
-    xd, lengths = x.data, np.asarray(lengths)
-    if xd.ndim != 3 or lengths.shape != xd.shape[:1] or np.any((lengths < 0) | (lengths > xd.shape[1])):
-        raise ShapeMismatch(f"bilstm input {xd.shape} with lengths {lengths.tolist()}")
+    xd = x.data
+    if xd.ndim != 3:
+        raise ShapeMismatch(f"bilstm input {xd.shape} is not (batch, T, d)")
+    rev = _reversal(xd.shape, lengths)
     bsz, t, d = xd.shape
     hidden = fwd[2].data.shape[-1]
     shapes = ((4 * hidden, d), (4 * hidden,), (4 * hidden, hidden))
     for weights in (fwd, bwd):
         if tuple(p.data.shape for p in weights) != shapes:
             raise ShapeMismatch(f"bilstm (w, b, u) {[p.data.shape for p in weights]}, want {shapes}")
-    rev = _reversal(lengths, bsz, t)
 
     def read_order(k, a):
         # direction k's view of a (batch, T, ...) array; the reversal is its own inverse
@@ -480,13 +477,14 @@ def reshape(tape: Tape | None, x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _out(tape, x.data.reshape(shape), (x,), lambda g: (g.reshape(orig),))
 
 
-def _reversal(lengths: np.ndarray, bsz: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pair that reverses each row's first ``lengths[r]`` of ``t`` steps, tail in order.
-
-    The map is an involution: reversing a prefix twice is the identity.
-    """
-    ar = np.arange(t)[None, :]
-    return np.arange(bsz)[:, None], np.where(ar < lengths[:, None], lengths[:, None] - 1 - ar, ar)
+def _reversal(shape: tuple[int, ...], lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Index pair reversing each row's first ``lengths[r]`` steps of a (batch, T, ...) array of
+    ``shape``, tail in order (an involution); ShapeMismatch unless each row's length is in [0, T]."""
+    lengths = np.asarray(lengths)
+    if len(shape) < 2 or lengths.shape != shape[:1] or np.any((lengths < 0) | (lengths > shape[1])):
+        raise ShapeMismatch(f"lengths {lengths.tolist()} for a (batch, T, ...) input {shape}")
+    ar = np.arange(shape[1])[None, :]
+    return np.arange(shape[0])[:, None], np.where(ar < lengths[:, None], lengths[:, None] - 1 - ar, ar)
 
 
 def reverse_within(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> Tensor:
@@ -495,7 +493,7 @@ def reverse_within(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> Tensor:
     The index map is an involution, so the backward rule is the same gather
     applied to the incoming gradient.
     """
-    rev = _reversal(np.asarray(lengths), x.data.shape[0], x.data.shape[1])
+    rev = _reversal(x.data.shape, lengths)
     return _out(tape, x.data[rev], (x,), lambda g: (g[rev],))
 
 
@@ -524,6 +522,8 @@ def grad_check(
     """
     if not 1e-6 <= eps <= 1e-4:
         raise ValueError(f"eps {eps} outside [1e-6, 1e-4]")
+    if samples < 1:
+        raise ValueError(f"samples {samples} < 1 would check no coordinate")
     for p in params:
         if p.value.dtype != np.float64:
             raise ValueError(f"grad_check requires float64 parameters, {p.name} is {p.value.dtype}")

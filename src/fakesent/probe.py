@@ -34,6 +34,8 @@ WC = "wc"
 BSHIFT = "bshift"
 TASKS = (SENTLEN, WC, BSHIFT)
 
+WC_MIN_PER_CLASS = 10  # exactly-one sentences each wc target word needs
+
 
 @dataclass
 class ProbeConfig:
@@ -44,6 +46,10 @@ class ProbeConfig:
     def __post_init__(self):
         if not self.l2_grid or not all(0 < l2 < math.inf for l2 in self.l2_grid):
             raise ValueError("l2_grid must be non-empty, finite and strictly positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
 
 
 @dataclass
@@ -135,7 +141,6 @@ def gen_wc(
     targets: Sequence[str] | None = None,
     vocab: Vocabulary | None = None,
     seed: int = 0,
-    min_per_class: int = 10,
 ) -> ProbeDataset:
     """Keep sentences containing exactly one distinct target word; the label
     is that word's index in the target list."""
@@ -153,10 +158,10 @@ def gen_wc(
         if len(hits) == 1:
             pairs.append((s, hits.pop()))
     counts = np.bincount([label for _, label in pairs], minlength=len(targets))
-    if (counts < min_per_class).any():
-        starved = [targets[i] for i in np.flatnonzero(counts < min_per_class)]
+    if (counts < WC_MIN_PER_CLASS).any():
+        starved = [targets[i] for i in np.flatnonzero(counts < WC_MIN_PER_CLASS)]
         raise InsufficientExamples(
-            f"target words {starved} have fewer than {min_per_class} exactly-one sentences"
+            f"target words {starved} have fewer than {WC_MIN_PER_CLASS} exactly-one sentences"
         )
     return ProbeDataset(WC, len(targets), *_split(pairs, seed))
 
@@ -320,6 +325,6 @@ def run_probes(
         else:
             raise ValueError(f"unknown probing task {task!r}")
     needed = list({s.id: s for dataset in datasets.values() for s in dataset.sentences()}.values())
-    vectors = encoder.encode_batch(needed).astype(np.float64)
+    vectors = encoder.encode_batch(needed)  # _features casts each row to float64
     encodings = {s.id: vectors[i] for i, s in enumerate(needed)}
     return {task: train_probe(dataset, encodings, cfg) for task, dataset in datasets.items()}

@@ -185,14 +185,14 @@ def test_train_is_reproducible(tmp_path):
     assert m1 == m2
 
 
-def test_frozen_embedding_gradient_does_not_carry_into_a_later_run():
+def test_frozen_embedding_gradient_does_not_carry_into_a_later_run(tmp_path):
     rng = np.random.default_rng(19)
     data = separable_dataset(64, rng)
     vocab_tokens = [f"r{i}" for i in range(8)] + [f"f{i}" for i in range(8)]
     model = build_model(vocab_tokens, seed=22)
     embedding = model.encoder.embedding.value.copy()
     frozen = cl.TrainConfig(batch_size=16, epochs=1, learning_rate=0.2, seed=3, freeze_embeddings=True)
-    cl.train(model, data[:48], data[48:], frozen, None)
+    cl.train(model, data[:48], data[48:], frozen, tmp_path / "frozen.ckpt")
     assert np.array_equal(model.encoder.embedding.value, embedding)
     # the same weights in a model that never trained, then one unfrozen run each
     twin = build_model(vocab_tokens, seed=22)
@@ -200,7 +200,7 @@ def test_frozen_embedding_gradient_does_not_carry_into_a_later_run():
         np.copyto(q.value, p.value)
     cfg = cl.TrainConfig(batch_size=16, epochs=1, learning_rate=0.2, seed=4)
     for m in (model, twin):
-        cl.train(m, data[:48], data[48:], cfg, None)
+        cl.train(m, data[:48], data[48:], cfg, tmp_path / "unfrozen.ckpt")
     for p, q in zip(model.all_parameters(), twin.all_parameters()):
         assert np.array_equal(p.value, q.value), p.name
 

@@ -191,22 +191,58 @@ print(alone.tobytes().hex())
 """
 
 
-def test_encodings_bit_identical_across_blas_thread_counts():
-    # the thread count is read once, when numpy loads BLAS, so each count needs its own process
+_TRAIN_IN_CHILD = """
+import sys
+import numpy as np
+from fakesent.classifier import DetectorModel, TrainConfig, train
+from fakesent.corpus import Sentence, build_vocab, init_embeddings
+from fakesent.encoder import SentenceEncoder
+from fakesent.fakegen import build_dataset
+
+rng = np.random.default_rng(9)
+words = [f"w{i:03d}" for i in range(300)]
+sents = [Sentence(tuple(words[int(k)] for k in rng.integers(0, 300, size=int(n))), str(i))
+         for i, n in enumerate(rng.integers(3, 25, size=200))]
+data = build_dataset(sents, "shuffle", 1, seed=3)
+vocab = build_vocab(ex.sentence for ex in data)
+encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 64, rng), 128, rng)
+model = DetectorModel.create(encoder, 64, 32, rng)
+out = sys.argv[1]
+train(model, data[:320], data[320:], TrainConfig(epochs=1, seed=3), out + "/model.ckpt", out + "/metrics.jsonl")
+"""
+
+
+def run_with_blas_threads(script: str, threads: str, *args: str) -> str:
+    """What ``script`` prints in a child process whose BLAS runs ``threads`` threads.
+
+    The thread count is read once, when numpy loads BLAS, so each count needs its own process.
+    """
     root = Path(__file__).resolve().parents[1]
-    outputs = {}
-    for threads in ("1", "2"):
-        env = {"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"}
-        env.update({var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
-        proc = subprocess.run(
-            [sys.executable, "-c", _ENCODE_IN_CHILD], capture_output=True, text=True, env=env, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs[threads] = proc.stdout.split()
+    env = {"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"}
+    env.update({var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_encodings_bit_identical_across_blas_thread_counts():
+    outputs = {threads: run_with_blas_threads(_ENCODE_IN_CHILD, threads).split() for threads in ("1", "2")}
     assert outputs["1"] == outputs["2"], "encodings differ between 1 and 2 BLAS threads"
     batched, alone = (np.frombuffer(bytes.fromhex(h), dtype=np.float32) for h in outputs["1"])
     assert batched.size == 70 * 192
     assert np.array_equal(batched, alone)
+
+
+def test_training_bytes_identical_across_blas_thread_counts(tmp_path):
+    written = {}
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        run_with_blas_threads(_TRAIN_IN_CHILD, threads, str(tmp_path / threads))
+        written[threads] = [(tmp_path / threads / name).read_bytes() for name in ("model.ckpt", "metrics.jsonl")]
+    assert written["1"][1].count(b"\n") == 1  # one epoch
+    assert written["1"] == written["2"], "checkpoint or metrics differ between 1 and 2 BLAS threads"
 
 
 def test_chunked_encoding_matches_single_chunk():

@@ -319,6 +319,20 @@ def test_narrow_and_pick_count_a_negative_axis_from_the_end(name, args, axis):
     assert np.array_equal(out_pos, out_neg) and np.array_equal(grad_pos, grad_neg)
 
 
+@pytest.mark.parametrize("name, args", [
+    ("narrow", (1, 3, 3)),  # [3:6] on an axis of 5
+    ("narrow", (1, -1, 2)),
+    ("pick", (1, 5)),
+    ("pick", (1, -1)),
+    ("reverse_within", (np.array([6, 1, 2]),)),  # a length past the time axis
+    ("reverse_within", (np.array([-1, 1, 2]),)),
+    ("reverse_within", (np.array([5, 1]),)),  # one length per row
+])
+def test_indexing_ops_reject_positions_outside_their_input(name, args):
+    with pytest.raises(ShapeMismatch):
+        getattr(nc, name)(None, nc.constant(np.zeros((3, 5, 2))), *args)
+
+
 def test_concat_and_narrow_roundtrip_gradients():
     a = nc.Parameter("a", np.arange(6, dtype=float).reshape(2, 3))
     b = nc.Parameter("b", np.arange(4, dtype=float).reshape(2, 2))
@@ -467,6 +481,22 @@ def test_grad_check_raises_on_a_non_finite_analytic_gradient(monkeypatch):
     monkeypatch.setattr(nc, "tanh", nan_tanh)
     with pytest.raises(NonFiniteValue, match="gradient for p"):
         nc.grad_check(loss_fn, [p], eps=1e-5, samples=8)
+
+
+def test_grad_check_needs_a_sample_to_check():
+    p = nc.Parameter("p", np.array([0.5, -1.0, 2.0]))
+
+    def loss_fn(tape):
+        # sum(p ** 2) with a wrong backward rule: 123 in place of 2p
+        out = nc.Tensor(np.array((p.data**2).sum()))
+        if tape is not None:
+            tape.record(out, (p,), lambda g: (np.full_like(p.data, 123.0),))
+        return out
+
+    assert nc.grad_check(loss_fn, [p], eps=1e-5, samples=2) > 0.5
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples"):
+            nc.grad_check(loss_fn, [p], eps=1e-5, samples=samples)
 
 
 def test_grad_check_requires_float64():

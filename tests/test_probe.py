@@ -255,6 +255,9 @@ def test_config_rejects_bad_grid():
     for not_finite in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             pb.ProbeConfig(l2_grid=(0.1, not_finite))
+    for bad in ({"max_iterations": 0}, {"max_iterations": -5}, {"tolerance": float("nan")}, {"tolerance": 0.0}):
+        with pytest.raises(ValueError):
+            pb.ProbeConfig(**bad)
 
 
 def test_run_probes_encodes_each_sentence_once(monkeypatch):
