@@ -122,13 +122,12 @@ class DetectorModel:
         return nc.softmax_cross_entropy(tape, logits, labels)
 
     def predict_proba(self, sentences: Sequence[Sentence], batch_size: int = 64) -> np.ndarray:
-        """p(REAL) per sentence: the head over ``encode_batch`` encodings, chunk by chunk."""
-        out = np.empty(len(sentences), dtype=np.float64)
-        for start in range(0, len(sentences), batch_size):
-            chunk = sentences[start : start + batch_size]
-            logits = self.head.forward(None, nc.Tensor(self.encoder.encode_batch(chunk, batch_size)))
-            out[start : start + len(chunk)] = nc.log_softmax(logits.data)[1][:, REAL]
-        return out
+        """p(REAL) per sentence: the head over the ``encode_batch`` encodings.
+
+        The head's products are row-tiled, so a row's value does not depend
+        on the rows that come with it."""
+        logits = self.head.forward(None, nc.Tensor(self.encoder.encode_batch(sentences, batch_size)))
+        return nc.log_softmax(logits.data)[1][:, REAL].astype(np.float64)
 
     def predict(self, sentences: Sequence[Sentence], batch_size: int = 64) -> np.ndarray:
         return (self.predict_proba(sentences, batch_size) >= 0.5).astype(np.int64)

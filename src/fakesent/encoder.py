@@ -15,9 +15,11 @@ Layout conventions:
   reading tokens n-1 .. t is aligned to position t before concatenation,
   so the per-step concatenated state at t sees the full prefix (forward)
   and the full suffix (backward).
-* Batches are padded with PAD (index 0) and pooling masks positions at or
-  beyond each sentence's length, so encodings are bit-identical whether a
-  sentence is encoded alone or inside any batch.
+* Batches are padded with PAD (index 0). The recurrence of each sentence
+  stops at its own length, so no state is computed at a padded position
+  (it is exactly 0 there), and pooling masks positions at or beyond each
+  sentence's length. Encodings are bit-identical whether a sentence is
+  encoded alone or inside any batch.
 """
 
 from __future__ import annotations
@@ -106,22 +108,26 @@ class SentenceEncoder:
         return z, u
 
     def encode_batch(self, sentences: Sequence[Sentence], batch_size: int = 64) -> np.ndarray:
-        """Encodings for a list of sentences, processed in padded chunks.
+        """Encodings for a list of sentences, in input order, processed in
+        padded chunks of sentences of similar length.
 
         Chunking is invisible: pooled values are bit-identical for any
-        grouping. Padding positions are masked out of the pooling, and
-        every forward matrix product runs as BLAS gemms over fixed-size,
+        grouping. Each row's recurrence stops at its own length, and every
+        forward matrix product runs as BLAS gemms over fixed-size,
         zero-padded row tiles (``numcore._mm``), so each row is summed in
-        the same order whatever the number of rows in the chunk.
+        the same order whatever the number of rows in the chunk. So the
+        sentences are chunked longest first, which leaves little padding in
+        a chunk, and each encoding is written back to its input position.
         """
         if len(sentences) == 0:
             raise EmptyDataset("empty batch")
+        order = np.argsort([-len(s) for s in sentences], kind="stable")
         out = np.empty((len(sentences), self.out_dim), dtype=self.dtype)
         for start in range(0, len(sentences), batch_size):
-            chunk = sentences[start : start + batch_size]
-            idx, lengths = self.prepare_batch(chunk)
+            chunk = order[start : start + batch_size]
+            idx, lengths = self.prepare_batch([sentences[r] for r in chunk])
             z, _ = self.forward_batch(None, idx, lengths)
-            out[start : start + len(chunk)] = z.data
+            out[chunk] = z.data
         return out
 
     def encode(self, sentence: Sentence) -> np.ndarray:

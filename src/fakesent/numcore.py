@@ -12,11 +12,15 @@ in reverse and accumulates gradients into the Parameters the tape reaches.
 
 The encoder's BiLSTM is one fused op, ``bilstm``, with one hand-written
 backpropagation-through-time rule, so a training step's tape length does not
-grow with sentence length. Its arithmetic is, operation for operation, that
-of composing ``reverse_within``, ``reshape``, ``matmul``, ``add``, a per-step
-cell of ``pick``, ``narrow``, ``sigmoid``, ``tanh``, ``mul`` and ``stack``,
-and ``concat``, so both give bit-identical values and gradients; the tests
-keep that composition as the op's oracle.
+grow with sentence length. Each row runs for its own length only: rows are
+sorted by length and their real positions packed time-major, so no work is
+spent on padding and padded states are exactly 0. At every real position
+its forward arithmetic is, operation for operation, that of composing
+``reverse_within``, ``reshape``, ``matmul``, ``add``, a per-step cell of
+``pick``, ``narrow``, ``sigmoid``, ``tanh``, ``mul`` and ``stack``, and
+``concat``, so both give bit-identical states; its gradients agree with the
+composition's up to the order of the sums over the batch. The tests keep
+that composition as the op's oracle.
 
 Determinism notes, load-bearing for the batch/unbatched bit-identity
 guarantee of the encoder:
@@ -33,6 +37,11 @@ guarantee of the encoder:
   small-matrix or a blocked gemm kernel by the product of the three
   dimensions; these kernels sum in different orders. Backward rules use
   plain ``@``: bit-stability across batch sizes is not required there.
+  A product that sums over rows (a weight gradient, ``a.T @ b``) goes
+  through ``_tmm``, which zero-pads the summed axis to a multiple of
+  ``_ROW_TILE``: OpenBLAS was seen to change such a sum with the thread
+  count at other lengths, never at a multiple of 64, so training bytes do
+  not depend on the thread count when a batch is partial.
 * All other forward ops are elementwise or pure indexing, which numpy
   evaluates value-deterministically.
 
@@ -201,20 +210,26 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(n + pad, out.shape[-1])[:n]
 
 
-def matmul(tape: Tape | None, a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """2-D matrix product a @ b (or a @ b.T when transpose_b)."""
+def _tmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a.T @ b, a sum over the rows of a and b, with that axis zero-padded to
+    # a multiple of _ROW_TILE; see the determinism notes.
+    pad = -a.shape[0] % _ROW_TILE
+    if pad:
+        a = np.concatenate([a, np.zeros((pad, a.shape[1]), dtype=a.dtype)])
+        b = np.concatenate([b, np.zeros((pad, b.shape[1]), dtype=b.dtype)])
+    return a.T @ b
+
+
+def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
+    """2-D matrix product a @ b."""
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2:
         raise ShapeMismatch(f"matmul needs 2-D operands, got {ad.shape} and {bd.shape}")
-    inner = bd.shape[1] if transpose_b else bd.shape[0]
-    if ad.shape[1] != inner:
+    if ad.shape[1] != bd.shape[0]:
         raise ShapeMismatch(f"matmul inner dims differ: {ad.shape} vs {bd.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out_d = _check_finite(_mm(ad, bd.T if transpose_b else bd), "matmul")
-    if transpose_b:
-        # out = a b^T : da = g b ; db = g^T a
-        return _out(tape, out_d, (a, b), lambda g: (g @ bd, g.T @ ad))
-    return _out(tape, out_d, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+        out_d = _check_finite(_mm(ad, bd), "matmul")
+    return _out(tape, out_d, (a, b), lambda g: (g @ bd.T, _tmm(ad, g)))
 
 
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -287,58 +302,75 @@ def tanh(tape: Tape | None, x: Tensor) -> Tensor:
     return _out(tape, out_d, (x,), lambda g: (g * (1.0 - out_d * out_d),))
 
 
-def _lstm_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, u: np.ndarray, keep: bool):
-    """One direction over x (batch, T, d) from a zero state: (states, per-step saves).
+def _lstm_forward(xp: np.ndarray, active: list[int], w: np.ndarray, b: np.ndarray, u: np.ndarray):
+    """One direction over packed inputs xp (N, d) from a zero state.
 
-    Per step pre = proj[:, t] + h U^T, c = f * c + i * g, h = o * tanh(c), gates (i, f, o, g);
-    proj = x W^T + b is local, so it is freed before the other direction's is made.
+    Step s reads the next ``active[s]`` rows of xp, one per row still running
+    (a non-increasing count), so its rows are the first ``active[s]`` of step
+    s - 1's. Per step pre = proj + h U^T, c = f * c + i * g, h = o * tanh(c),
+    gates (i, f, o, g), with proj = xp W^T + b. Returns, one row per packed
+    position, the (N, 4H) gate activations (written over proj) and the
+    (N, H) cells, tanh(cells) and states.
     """
-    bsz, t, d = x.shape
     hidden = u.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        proj = _check_finite(_mm(x.reshape(bsz * t, d), w.T) + b, "bilstm")
-    proj = proj.reshape(bsz, t, 4 * hidden)
-    h = np.zeros((bsz, hidden), dtype=x.dtype)
-    c = h.copy()
-    states = np.empty((bsz, t, hidden), dtype=x.dtype)
-    saved = []  # per step (h_prev, c_prev, i, f, o, g, tanh(c)) for the backward rule
-    for s in range(t):
+        acts = _mm(xp, w.T)
+        acts += b
+    _check_finite(acts, "bilstm")
+    cells, tcs, states = (np.empty((len(xp), hidden), dtype=xp.dtype) for _ in range(3))
+    h = c = np.zeros((active[0] if active else 0, hidden), dtype=xp.dtype)
+    lo = 0
+    for n in active:
+        hi = lo + n
+        a = acts[lo:hi]
         with np.errstate(over="ignore", invalid="ignore"):
-            pre = _check_finite(proj[:, s] + _mm(h, u.T), "bilstm")
-        i, f, o = (_sigmoid(pre[:, k * hidden : (k + 1) * hidden]) for k in range(3))
-        g = np.tanh(pre[:, 3 * hidden :])
-        h_prev, c_prev = h, c
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        states[:, s] = h
-        if keep:
-            saved.append((h_prev, c_prev, i, f, o, g, tc))
-    return states, saved
+            a += _mm(h[:n], u.T)
+        _check_finite(a, "bilstm")
+        a[:, : 3 * hidden] = _sigmoid(a[:, : 3 * hidden])
+        np.tanh(a[:, 3 * hidden :], out=a[:, 3 * hidden :])
+        i, f, o, g = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        c = np.multiply(f, c[:n], out=cells[lo:hi])
+        c += i * g
+        h = np.multiply(o, np.tanh(c, out=tcs[lo:hi]), out=states[lo:hi])
+        lo = hi
+    return acts, cells, tcs, states
 
 
-def _lstm_backward(dstates, x, w, u, saved):
-    """Backpropagation through time for one direction: (dx, dw, db, du)."""
-    bsz, t, d = x.shape
+def _lstm_backward(
+    dstates: np.ndarray, xp: np.ndarray, active: list[int], w: np.ndarray, u: np.ndarray, saved
+):
+    """Backpropagation through time for one direction over ``_lstm_forward``'s
+    packed layout: (dxp, dw, db, du), dxp (N, d) like xp."""
+    acts, cells, tcs, states = saved
     hidden = u.shape[1]
-    dproj = np.empty((bsz, t, 4 * hidden), dtype=x.dtype)
-    du = np.zeros_like(u)
-    zeros = np.zeros((bsz, hidden), dtype=x.dtype)
-    dh_next, dc_next, f_next = zeros, zeros, zeros  # nothing flows back past the last step
-    for s in reversed(range(t)):
-        h_prev, c_prev, i, f, o, g, tc = saved[s]
-        # products grouped as the primitives' backward rules group them, so
-        # gradients are bit-identical to the composition in the test oracle
-        dh = dstates[:, s] + dh_next
-        dc = dc_next * f_next + (dh * o) * (1.0 - tc * tc)
-        di, df = (dc * g) * (i * (1.0 - i)), (dc * c_prev) * (f * (1.0 - f))
-        dpre = np.concatenate([di, df, (dh * tc) * (o * (1.0 - o)), (dc * i) * (1.0 - g * g)], axis=1)
-        dproj[:, s] = dpre
-        du += dpre.T @ h_prev
+    dproj = np.empty_like(acts)
+    h_prev = np.zeros_like(states)  # each position's state one step earlier
+    dh_next = dc_next = f_next = acts[:0, :hidden]  # nothing flows back past the last step
+    hi = len(acts)
+    for s in reversed(range(len(active))):
+        lo = hi - active[s]
+        c_prev = 0.0  # step 0 starts from the zero state
+        if s:
+            prev = slice(lo - active[s - 1], hi - active[s - 1])  # the same rows one step earlier
+            h_prev[lo:hi], c_prev = states[prev], cells[prev]
+        i, f, o, g = (acts[lo:hi, k * hidden : (k + 1) * hidden] for k in range(4))
+        tc = tcs[lo:hi]
+        # products grouped as the primitives' backward rules group them; rows
+        # past the next step's count have no later step to receive from
+        m = len(dh_next)
+        dh = dstates[lo:hi].copy()
+        dh[:m] += dh_next
+        dc = (dh * o) * (1.0 - tc * tc)
+        dc[:m] += dc_next * f_next
+        dpre = dproj[lo:hi]
+        dpre[:, :hidden] = (dc * g) * (i * (1.0 - i))
+        dpre[:, hidden : 2 * hidden] = (dc * c_prev) * (f * (1.0 - f))
+        dpre[:, 2 * hidden : 3 * hidden] = (dh * tc) * (o * (1.0 - o))
+        dpre[:, 3 * hidden :] = (dc * i) * (1.0 - g * g)
         dh_next = dpre @ u
         dc_next, f_next = dc, f
-    dproj = dproj.reshape(bsz * t, 4 * hidden)
-    return (dproj @ w).reshape(x.shape), dproj.T @ x.reshape(bsz * t, d), dproj.sum(axis=0), du
+        hi = lo
+    return dproj @ w, _tmm(dproj, xp), dproj.sum(axis=0), _tmm(dproj, h_prev)
 
 
 def bilstm(
@@ -347,16 +379,20 @@ def bilstm(
     """Bidirectional LSTM over a padded (batch, T, d) input: (batch, T, 2H) states.
 
     ``fwd`` and ``bwd`` are each a direction's (w, b, u): input weights
-    (4H, d), bias (4H,) and recurrent weights (4H, H). The backward direction
-    reads each row's first ``lengths[r]`` steps in reverse (the padded tail in
-    order) and its states go back where they were read, so ``out[:, t]`` is
-    the forward state after the prefix up to t, then the backward state after
-    the suffix from t. The whole op is one tape record.
+    (4H, d), bias (4H,) and recurrent weights (4H, H). Each row runs for its
+    own ``lengths[r]`` steps and no further: ``out[r, t]`` is the forward
+    state after the prefix up to t, then the backward state after the
+    suffix from t, for t < lengths[r], and exactly 0 at the padded
+    positions. The whole op is one tape record.
+
+    Rows are sorted by length, longest first, and each direction's real
+    positions are packed time-major, so step s works on one contiguous block
+    of the rows still running and no step computes padding.
     """
     xd = x.data
     if xd.ndim != 3:
         raise ShapeMismatch(f"bilstm input {xd.shape} is not (batch, T, d)")
-    rev = _reversal(xd.shape, lengths)
+    lengths = _check_lengths(xd.shape, lengths)
     bsz, t, d = xd.shape
     hidden = fwd[2].data.shape[-1]
     shapes = ((4 * hidden, d), (4 * hidden,), (4 * hidden, hidden))
@@ -364,27 +400,33 @@ def bilstm(
         if tuple(p.data.shape for p in weights) != shapes:
             raise ShapeMismatch(f"bilstm (w, b, u) {[p.data.shape for p in weights]}, want {shapes}")
 
-    def read_order(k, a):
-        # direction k's view of a (batch, T, ...) array; the reversal is its own inverse
-        return a if k == 0 else a[rev]
+    order = np.argsort(-lengths, kind="stable")
+    steps, pos = np.nonzero(lengths[order][None, :] > np.arange(t)[:, None])
+    rows = order[pos]
+    active = np.bincount(steps).tolist()  # rows still running at each step
+    # each direction's packed positions: (row, time) it reads and writes
+    where = ((rows, steps), (rows, lengths[rows] - 1 - steps))
 
-    out_d = np.empty((bsz, t, 2 * hidden), dtype=xd.dtype)
+    out_d = np.zeros((bsz, t, 2 * hidden), dtype=xd.dtype)
     saved = []
     for k, (w, b, u) in enumerate((fwd, bwd)):
-        xk = read_order(k, xd)
-        states, steps = _lstm_forward(xk, w.data, b.data, u.data, keep=tape is not None)
-        out_d[:, :, k * hidden : (k + 1) * hidden] = read_order(k, states)
-        saved.append((xk, steps))
+        xp = xd[where[k]]
+        runs = _lstm_forward(xp, active, w.data, b.data, u.data)
+        out_d[(*where[k], slice(k * hidden, (k + 1) * hidden))] = runs[3]
+        if tape is not None:
+            saved.append((xp, runs))
+        del xp, runs  # so an untaped call holds one direction's arrays at a time
 
     def back(g):
+        dx = np.zeros_like(xd)
         grads = []
         for k, (w, _, u) in enumerate((fwd, bwd)):
-            xk, steps = saved[k]
-            dstates = read_order(k, g[:, :, k * hidden : (k + 1) * hidden])
-            dx, dw, db, du = _lstm_backward(dstates, xk, w.data, u.data, steps)
-            grads.append((read_order(k, dx), dw, db, du))
-        (dx_f, *dfwd), (dx_b, *dbwd) = grads
-        return (dx_f + dx_b, *dfwd, *dbwd)
+            xp, runs = saved[k]
+            dstates = g[(*where[k], slice(k * hidden, (k + 1) * hidden))]
+            dxp, *dwbu = _lstm_backward(dstates, xp, active, w.data, u.data, runs)
+            dx[where[k]] += dxp
+            grads += dwbu
+        return (dx, *grads)
 
     return _out(tape, out_d, (x, *fwd, *bwd), back)
 
@@ -434,7 +476,9 @@ def max_over_time(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> tuple[Te
     """Per-row masked max over axis 1 of a (batch, time, features) tensor.
 
     Positions at or beyond each row's length are excluded, so padding can
-    never leak into the pooled output. Returns (pooled, argmax).
+    never leak into the pooled output (``bilstm`` holds 0 there, which would
+    beat a feature that is negative at every real position). Returns
+    (pooled, argmax).
     """
     b, t, k = x.data.shape
     mask = np.arange(t)[None, :] >= np.asarray(lengths)[:, None]  # True where padded
@@ -477,12 +521,19 @@ def reshape(tape: Tape | None, x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _out(tape, x.data.reshape(shape), (x,), lambda g: (g.reshape(orig),))
 
 
-def _reversal(shape: tuple[int, ...], lengths) -> tuple[np.ndarray, np.ndarray]:
-    """Index pair reversing each row's first ``lengths[r]`` steps of a (batch, T, ...) array of
-    ``shape``, tail in order (an involution); ShapeMismatch unless each row's length is in [0, T]."""
+def _check_lengths(shape: tuple[int, ...], lengths) -> np.ndarray:
+    """``lengths`` as an array; ShapeMismatch unless it holds one length in [0, T] per row
+    of a (batch, T, ...) array of ``shape``."""
     lengths = np.asarray(lengths)
     if len(shape) < 2 or lengths.shape != shape[:1] or np.any((lengths < 0) | (lengths > shape[1])):
         raise ShapeMismatch(f"lengths {lengths.tolist()} for a (batch, T, ...) input {shape}")
+    return lengths
+
+
+def _reversal(shape: tuple[int, ...], lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Index pair reversing each row's first ``lengths[r]`` steps of a (batch, T, ...) array of
+    ``shape``, tail in order (an involution)."""
+    lengths = _check_lengths(shape, lengths)
     ar = np.arange(shape[1])[None, :]
     return np.arange(shape[0])[:, None], np.where(ar < lengths[:, None], lengths[:, None] - 1 - ar, ar)
 
