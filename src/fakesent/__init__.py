@@ -17,7 +17,6 @@ from .fakegen import (
     LabeledExample,
     build_dataset,
     word_drop,
-    word_edit_distance,
     word_shuffle,
 )
 from .classifier import DetectorModel, MlpHead, TrainConfig, evaluate, train
@@ -38,7 +37,6 @@ __all__ = [
     "LabeledExample",
     "build_dataset",
     "word_drop",
-    "word_edit_distance",
     "word_shuffle",
     "DetectorModel",
     "MlpHead",

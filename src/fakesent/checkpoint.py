@@ -72,14 +72,14 @@ def _read_str(f: BinaryIO) -> str:
 def _write_param(f: BinaryIO, p: nc.Parameter) -> None:
     _write_str(f, p.name)
     arr = p.value
-    code = {np.dtype(np.float32): "f4", np.dtype(np.float64): "f8"}.get(arr.dtype)
+    code = {dt: c for c, dt in _DTYPES.items()}.get(arr.dtype)
     if code is None:
         raise CheckpointFormatError(f"unsupported dtype {arr.dtype} for {p.name}")
     f.write(struct.pack("<B", arr.ndim))
     for dim in arr.shape:
         f.write(struct.pack("<I", dim))
     f.write(code.encode("ascii"))
-    f.write(np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes())
+    f.write(arr.tobytes())
 
 
 def _read_param(f: BinaryIO) -> nc.Parameter:
@@ -178,6 +178,10 @@ def load_model(path):
             raise CheckpointFormatError(f"{path}: {e}") from None
         (pcount,) = struct.unpack("<I", _read_exact(f, 4))
         params = {p.name: p for p in (_read_param(f) for _ in range(pcount))}
+        if len(params) < pcount:
+            raise CheckpointFormatError(f"{path}: a parameter name appears twice")
+        if _bytes_left(f):
+            raise CheckpointFormatError(f"{path}: data after the last parameter")
 
     d, hidden, v, dtype = header["d"], header["H"], header["V"], np.dtype(header["precision"])
     if len(vocab) != v:

@@ -104,7 +104,7 @@ class SentenceEncoder:
         """Pooled encodings (batch, 2H) and per-step concatenated states."""
         emb = nc.rows(tape, self.embedding, idx)
         u = nc.bilstm(tape, emb, lengths, self.fwd, self.bwd)
-        z, _ = nc.max_over_time(tape, u, lengths)
+        z = nc.max_over_time(tape, u, lengths)
         return z, u
 
     def encode_batch(self, sentences: Sequence[Sentence], batch_size: int = 64) -> np.ndarray:

@@ -95,25 +95,6 @@ def word_drop(
     return out, CorruptionRecord(WORD_DROP, i)
 
 
-def word_edit_distance(a: Sentence | Iterable[str], b: Sentence | Iterable[str]) -> int:
-    """Levenshtein distance over token sequences, unit edit costs.
-
-    Two-row dynamic program, O(len(a) * len(b)) time, O(len(b)) space.
-    """
-    ta = a.tokens if isinstance(a, Sentence) else tuple(a)
-    tb = b.tokens if isinstance(b, Sentence) else tuple(b)
-    if len(ta) < len(tb):
-        ta, tb = tb, ta
-    prev = list(range(len(tb) + 1))
-    for i, tok_a in enumerate(ta, start=1):
-        cur = [i] + [0] * len(tb)
-        for j, tok_b in enumerate(tb, start=1):
-            cost = 0 if tok_a == tok_b else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[-1]
-
-
 def sentence_rng(run_seed: int, sentence_id: str) -> np.random.Generator:
     """Per-sentence random stream: derived from (run seed, sentence id).
 

@@ -7,8 +7,9 @@ wherever it takes a Tensor and ``backward`` adds its gradient straight into
 ``param.grad``; one forward serves training and inference. There is one
 output rule: each op computes its forward value eagerly on numpy arrays and
 returns it through ``_out``, which wraps it in a Tensor and, when a Tape is
-supplied, records the op's backward closure. ``backward`` replays the tape
-in reverse and accumulates gradients into the Parameters the tape reaches.
+supplied, records the op's backward closure; only ``softmax_cross_entropy``
+returns anything beside it (its probabilities). ``backward`` replays the
+tape in reverse and accumulates gradients into the Parameters it reaches.
 
 The encoder's BiLSTM is one fused op, ``bilstm``, with one hand-written
 backpropagation-through-time rule, so a training step's tape length does not
@@ -61,7 +62,7 @@ import numpy as np
 from .errors import NonFiniteValue, ShapeMismatch
 
 __all__ = [
-    "Tensor", "Parameter", "Tape", "backward", "sgd_step", "grad_check", "constant",
+    "Tensor", "Parameter", "Tape", "backward", "sgd_step", "grad_check",
     "matmul", "add", "mul", "concat", "narrow", "pick", "sigmoid", "tanh", "bilstm",
     "softmax_cross_entropy", "log_softmax", "max_over_time", "rows", "stack", "reshape", "reverse_within",
 ]
@@ -188,36 +189,28 @@ def sgd_step(params: Sequence[Parameter], learning_rate: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def constant(data) -> Tensor:
-    """A graph input with no gradient path."""
-    return Tensor(np.asarray(data))
-
-
 # Rows per BLAS call in every forward product; see the determinism notes.
 # 64 is the default batch size of training and of encode_batch, so a default
 # batch's recurrent step is one gemm; a lone row pays for 63 zero rows.
 _ROW_TILE = 64
 
 
+def _pad_rows(a: np.ndarray) -> np.ndarray:
+    pad = -a.shape[0] % _ROW_TILE
+    return np.concatenate([a, np.zeros((pad, a.shape[1]), dtype=a.dtype)]) if pad else a
+
+
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a @ b as one gemm per _ROW_TILE rows of a, all of the same shape; the
     # zero rows padding the last tile are sliced off again.
-    n, k = a.shape
-    pad = -n % _ROW_TILE
-    if pad:
-        a = np.concatenate([a, np.zeros((pad, k), dtype=a.dtype)])
-    out = a.reshape(-1, _ROW_TILE, k) @ b
-    return out.reshape(n + pad, out.shape[-1])[:n]
+    out = _pad_rows(a).reshape(-1, _ROW_TILE, a.shape[1]) @ b
+    return out.reshape(-1, out.shape[-1])[: len(a)]
 
 
 def _tmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a.T @ b, a sum over the rows of a and b, with that axis zero-padded to
     # a multiple of _ROW_TILE; see the determinism notes.
-    pad = -a.shape[0] % _ROW_TILE
-    if pad:
-        a = np.concatenate([a, np.zeros((pad, a.shape[1]), dtype=a.dtype)])
-        b = np.concatenate([b, np.zeros((pad, b.shape[1]), dtype=b.dtype)])
-    return a.T @ b
+    return _pad_rows(a).T @ _pad_rows(b)
 
 
 def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -472,13 +465,13 @@ def softmax_cross_entropy(
     return _out(tape, out_d, (logits,), back), probs
 
 
-def max_over_time(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> tuple[Tensor, np.ndarray]:
+def max_over_time(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> Tensor:
     """Per-row masked max over axis 1 of a (batch, time, features) tensor.
 
     Positions at or beyond each row's length are excluded, so padding can
     never leak into the pooled output (``bilstm`` holds 0 there, which would
-    beat a feature that is negative at every real position). Returns
-    (pooled, argmax).
+    beat a feature that is negative at every real position). Ties go to the
+    earliest maximal position, which alone receives the gradient.
     """
     b, t, k = x.data.shape
     mask = np.arange(t)[None, :] >= np.asarray(lengths)[:, None]  # True where padded
@@ -492,7 +485,7 @@ def max_over_time(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> tuple[Te
         np.put_along_axis(gx, am[:, None, :], g[:, None, :], axis=1)
         return (gx,)
 
-    return _out(tape, out_d, (x,), back), am
+    return _out(tape, out_d, (x,), back)
 
 
 def rows(tape: Tape | None, table: Tensor, indices: np.ndarray) -> Tensor:

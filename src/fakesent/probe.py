@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numcore as nc
 from .corpus import Sentence, Vocabulary
-from .errors import DegenerateBins, InsufficientExamples
+from .errors import DegenerateBins, InsufficientExamples, MalformedLine
 from .fakegen import swap_positions
 
 SENTLEN = "sentlen"
@@ -312,7 +312,8 @@ def run_probes(
     they contain once with the frozen encoder, and train the probes.
 
     Tasks share sentences, and a sentence's encoding does not depend on the
-    batch it is encoded in, so one encoding per sentence id serves them all.
+    batch it is encoded in, so one encoding per sentence id serves them all;
+    MalformedLine if one id names two different token sequences.
     """
     datasets = {}
     for task in tasks:
@@ -324,7 +325,10 @@ def run_probes(
             datasets[task] = gen_bshift(sentences, seed=seed)
         else:
             raise ValueError(f"unknown probing task {task!r}")
-    needed = list({s.id: s for dataset in datasets.values() for s in dataset.sentences()}.values())
-    vectors = encoder.encode_batch(needed)  # _features casts each row to float64
-    encodings = {s.id: vectors[i] for i, s in enumerate(needed)}
+    by_id: dict[str, Sentence] = {}
+    for s in (s for dataset in datasets.values() for s in dataset.sentences()):
+        if by_id.setdefault(s.id, s).tokens != s.tokens:
+            raise MalformedLine(f"sentence id {s.id!r} names two different sentences")
+    vectors = encoder.encode_batch(list(by_id.values()))  # _features casts each row to float64
+    encodings = dict(zip(by_id, vectors))
     return {task: train_probe(dataset, encodings, cfg) for task, dataset in datasets.items()}

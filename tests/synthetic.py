@@ -1,4 +1,4 @@
-"""Synthetic corpora and splits shared by unit and acceptance tests.
+"""Synthetic corpora, splits and graph inputs shared by unit and acceptance tests.
 
 The learnability corpus is built over a 200-token alphabet whose canonical
 order is the numeric suffix of the token name (w000 < w001 < ...). Every
@@ -12,7 +12,13 @@ import hashlib
 
 import numpy as np
 
+from fakesent import numcore as nc
 from fakesent.corpus import Sentence
+
+
+def constant(data) -> nc.Tensor:
+    """A graph input with no gradient path."""
+    return nc.Tensor(np.asarray(data))
 
 
 def dp_edit_distance(a, b):

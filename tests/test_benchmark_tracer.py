@@ -2,10 +2,11 @@
 
 ``perfbench/tracing.py`` looks up, by name, every numcore op it times and
 every function and method it wraps; a name the package drops makes every
-traced benchmark run fail at install. ``perfbench/checks.py`` parses
-checkpoints and encodes with its own float64 BiLSTM-max; a renamed,
-reordered or relaid parameter makes every ``encode-paper`` run fail its
-check. These tests show both in the suite.
+traced benchmark run fail at install, and a call that stops going through
+the module attribute the tracer patches leaves its layer's metrics at 0.
+``perfbench/checks.py`` parses checkpoints and encodes with its own float64
+BiLSTM-max; a renamed, reordered or relaid parameter makes every
+``encode-paper`` run fail its check. These tests show both in the suite.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fakesent import cli, probe
 from fakesent import numcore as nc
 from fakesent.checkpoint import save_model
 from fakesent.classifier import DetectorModel
@@ -59,6 +61,30 @@ def test_tracer_installs_traces_a_training_step_and_uninstalls():
     assert metrics["numcore.rows.calls"] == 1 and metrics["numcore.max_over_time.calls"] == 1
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert {m["name"] for m in declared} <= set(metrics)
+
+
+def test_tracer_records_the_probe_and_gen_fakes_layers(tmp_path):
+    tracing = load_perfbench("tracing")
+    sentences = [Sentence(tuple(f"w{k % 7}" for k in range(n)), str(n)) for n in range(1, 61)]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(" ".join(s.tokens) + "\n" for s in sentences))
+    rng = np.random.default_rng(2)
+    vocab = build_vocab(sentences)
+    encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 4, rng), 3, rng)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        probe.run_probes(encoder, sentences, tasks=("sentlen",),
+                         cfg=probe.ProbeConfig(l2_grid=(1e-2,), max_iterations=5))
+        assert cli.main(["gen-fakes", "--strategy", "shuffle", "--seed", "1",
+                         "--in", str(corpus), "--out", str(tmp_path / "data.jsonl")]) == 0
+    finally:
+        tracer.uninstall()
+
+    recorded = {tracer.names[i] for i in tracer.spans()["name"]}
+    assert {"probe.gen", "probe.fit_logistic", "fakegen.build_dataset", "fakegen.write_dataset",
+            "corpus.load_corpus"} <= recorded
 
 
 def test_benchmark_checkpoint_reader_matches_the_model(tmp_path):

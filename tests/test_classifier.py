@@ -381,11 +381,14 @@ def swap_names(raw, a, b):
         lambda raw: with_header(raw, json.dumps({**header_of(raw), "V": 6}).encode()),
         lambda raw: with_header(raw, json.dumps({**header_of(raw), "precision": "float16"}).encode()),
         lambda raw: with_f8_param(raw, b"fwd.u", (8, 2)),
+        lambda raw: with_param_count(raw, 14) + raw[raw.rindex(b"\x07\x00head.b3") :],
+        lambda raw: raw + b"\x00",
     ],
     ids=["header-not-utf8", "token-not-utf8", "header-not-object", "header-mlp-short",
          "header-no-H", "header-float-d", "header-overruns", "param-overruns", "repeated-token",
          "param-missing", "param-unexpected", "param-misshapen", "header-V-not-vocab",
-         "header-precision-float16", "param-not-header-precision"],
+         "header-precision-float16", "param-not-header-precision", "param-repeated",
+         "bytes-after-params"],
 )
 def test_checkpoint_corruption_is_a_format_error(small_checkpoint, tmp_path, corrupt):
     raw = corrupt(small_checkpoint)

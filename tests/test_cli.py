@@ -1,4 +1,5 @@
 import json
+import shlex
 import struct
 import subprocess
 import sys
@@ -376,3 +377,13 @@ def test_version_flag(capsys):
 @pytest.mark.parametrize("module", [fakesent, nc], ids=["fakesent", "numcore"])
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_readme_quick_start_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()  # join continued lines
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("fakesent ")]
+    assert {argv[0] for argv in commands} == set(cli.COMMANDS)
+    for argv in commands:
+        cli.build_parser().parse_args(argv)

@@ -11,6 +11,7 @@ from fakesent.corpus import Sentence, build_vocab, init_embeddings
 from fakesent.classifier import DetectorModel
 from fakesent.encoder import SentenceEncoder, init_direction
 from fakesent.errors import EmptyDataset
+from synthetic import constant
 from unfused_lstm import assert_grads_close, bilstm_unfused, lstm_cell
 
 
@@ -58,8 +59,8 @@ def direction_states(d, xs):
     """bilstm over one sequence of inputs xs (T, dim) with d's (w, b, u) in
     both directions: the (T, H) forward states and the backward ones in
     reading order (last token first)."""
-    x = nc.constant(np.asarray(xs, dtype=np.float64).reshape(1, len(xs), -1))
-    weights = tuple(nc.constant(p.value) for p in d)
+    x = constant(np.asarray(xs, dtype=np.float64).reshape(1, len(xs), -1))
+    weights = tuple(constant(p.value) for p in d)
     out = nc.bilstm(None, x, np.array([len(xs)]), weights, weights).data[0]
     hidden = out.shape[1] // 2
     return out[:, :hidden], out[::-1, hidden:]
@@ -115,13 +116,13 @@ def test_lstm_step_gradients_match_finite_differences():
     for t in (1, 2, 7):
         x = nc.Parameter("x", rng.standard_normal((2, t, 3)))
         lengths = np.array([t, max(1, t - 3)])
-        weights = nc.constant(rng.standard_normal((2, t, 4)))
+        weights = constant(rng.standard_normal((2, t, 4)))
         params = [x] + [p for d in dirs for p in d]
 
         def loss_fn(tape):
             h = nc.bilstm(tape, x, lengths, dirs[0], dirs[1])
             flat = nc.reshape(tape, nc.mul(tape, h, weights), (1, 8 * t))
-            return nc.matmul(tape, flat, nc.constant(np.ones((8 * t, 1))))
+            return nc.matmul(tape, flat, constant(np.ones((8 * t, 1))))
 
         err = nc.grad_check(loss_fn, params, eps=1e-5, samples=40, rng=np.random.default_rng(2))
         assert err < 1e-6, f"T={t}"
@@ -298,12 +299,12 @@ def test_loop_matches_manual_lstm_step_sequence():
     _, u = enc.forward_batch(None, idx, lengths)
     # forward half, recomputed step by step through the unfused cell
     emb = enc.embedding.value[idx[0]]
-    w, b, u_rec = (nc.constant(p.value) for p in enc.fwd)
-    w_t = nc.constant(w.data.T)
-    h = nc.constant(np.zeros((1, enc.hidden)))
-    c = nc.constant(np.zeros((1, enc.hidden)))
+    w, b, u_rec = (constant(p.value) for p in enc.fwd)
+    w_t = constant(w.data.T)
+    h = constant(np.zeros((1, enc.hidden)))
+    c = constant(np.zeros((1, enc.hidden)))
     for t in range(5):
-        pre_x = nc.add(None, nc.matmul(None, nc.constant(emb[t : t + 1]), w_t), b)
+        pre_x = nc.add(None, nc.matmul(None, constant(emb[t : t + 1]), w_t), b)
         h, c = lstm_cell(None, pre_x, h, c, u_rec)
         assert np.array_equal(u.data[0, t, : enc.hidden], h.data[0])
 
@@ -316,7 +317,7 @@ def test_pad_row_receives_no_gradient():
     tape = nc.Tape()
     z, _ = enc.forward_batch(tape, idx, lengths)
     flat = nc.reshape(tape, z, (1, z.data.size))
-    loss = nc.matmul(tape, flat, nc.constant(np.ones((z.data.size, 1))))
+    loss = nc.matmul(tape, flat, constant(np.ones((z.data.size, 1))))
     nc.backward(tape, loss)
     assert np.array_equal(enc.embedding.grad[0], np.zeros(enc.dim))
     assert np.any(enc.embedding.grad != 0.0)
@@ -332,7 +333,7 @@ def test_encode_path_gradients_match_finite_differences():
     def loss_fn(tape):
         z, _ = enc.forward_batch(tape, idx, lengths)
         flat = nc.reshape(tape, z, (1, 2 * enc.out_dim))
-        return nc.matmul(tape, flat, nc.constant(ones))
+        return nc.matmul(tape, flat, constant(ones))
 
     err = nc.grad_check(loss_fn, enc.parameters(), eps=1e-5, samples=80,
                         rng=np.random.default_rng(3))
@@ -344,13 +345,13 @@ def test_fused_recurrence_bit_identical_to_unfused_on_padded_batch(dtype, monkey
     enc = make_encoder(n_tokens=15, dim=3, hidden=4, seed=16, dtype=dtype)
     rng = np.random.default_rng(10)
     idx, lengths = enc.prepare_batch([rand_sentence(rng, enc.vocab, n) for n in (4, 1, 7, 3, 6, 2, 5)])
-    weights = nc.constant(rng.standard_normal((7, enc.out_dim)).astype(dtype))
+    weights = constant(rng.standard_normal((7, enc.out_dim)).astype(dtype))
 
     def run():
         tape = nc.Tape()
         z, u = enc.forward_batch(tape, idx, lengths)
         flat = nc.reshape(tape, nc.mul(tape, z, weights), (1, z.data.size))
-        nc.backward(tape, nc.matmul(tape, flat, nc.constant(np.ones((z.data.size, 1), dtype=dtype))))
+        nc.backward(tape, nc.matmul(tape, flat, constant(np.ones((z.data.size, 1), dtype=dtype))))
         grads = [p.grad.copy() for p in enc.parameters()]
         for p in enc.parameters():
             p.zero_grad()

@@ -3,7 +3,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from fakesent import fakegen as fg
 from fakesent.corpus import Sentence
@@ -85,27 +84,17 @@ def test_drop_forced_cases():
         fg.word_drop(sent(["a"]), np.random.default_rng(0))
 
 
-def test_edit_distance_identity_and_deletion():
-    assert fg.word_edit_distance(["a", "b", "c"], ["a", "b", "c"]) == 0
-    assert fg.word_edit_distance(["a", "b", "c"], ["a", "c"]) == 1
-
-
 def test_edit_distance_of_shuffles_is_two_against_dp_oracle():
     rng = np.random.default_rng(11)
     checked = 0
     while checked < 200:
         s = random_sentence(rng, min_len=3)
         try:
-            out, rec = fg.word_shuffle(s, rng)
+            out, _ = fg.word_shuffle(s, rng)
         except NoDistinctPair:
             continue
-        d = fg.word_edit_distance(s, out)
-        assert d == dp_edit_distance(s.tokens, out.tokens)
-        if abs(rec.i - rec.j) > 1:
-            assert d == 2
-        else:
-            # adjacent distinct swap: also 2 (one substitution per position)
-            assert d == 2
+        # adjacent or not, a distinct swap is two substitutions
+        assert dp_edit_distance(s.tokens, out.tokens) == 2
         checked += 1
 
 
@@ -114,20 +103,7 @@ def test_edit_distance_of_drops_is_one():
     for _ in range(100):
         s = random_sentence(rng)
         out, _ = fg.word_drop(s, rng)
-        assert fg.word_edit_distance(s, out) == 1
         assert dp_edit_distance(s.tokens, out.tokens) == 1
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_edit_distance_symmetric_and_triangle(data):
-    words = st.sampled_from(["a", "b", "c"])
-    seqs = st.lists(words, min_size=0, max_size=6)
-    x, y, z = data.draw(seqs), data.draw(seqs), data.draw(seqs)
-    dxy = fg.word_edit_distance(x, y)
-    assert dxy == fg.word_edit_distance(y, x)
-    assert dxy == dp_edit_distance(x, y)
-    assert dxy <= fg.word_edit_distance(x, z) + fg.word_edit_distance(z, y)
 
 
 def test_build_dataset_single_pair():

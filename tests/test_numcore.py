@@ -5,23 +5,24 @@ import pytest
 
 from fakesent import numcore as nc
 from fakesent.errors import NonFiniteValue, ShapeMismatch
+from synthetic import constant
 from unfused_lstm import assert_grads_close, bilstm_unfused
 
 
 def scalar_sum(tape, x):
     # sum-to-scalar expressed with the primitive set: ones^T @ x
     flat = nc.reshape(tape, x, (1, x.data.size))
-    ones = nc.constant(np.ones((x.data.size, 1), dtype=x.data.dtype))
+    ones = constant(np.ones((x.data.size, 1), dtype=x.data.dtype))
     return nc.matmul(tape, flat, ones)
 
 
 def test_sigmoid_at_zero():
-    out = nc.sigmoid(None, nc.constant(np.array([0.0])))
+    out = nc.sigmoid(None, constant(np.array([0.0])))
     assert out.data[0] == 0.5
 
 
 def test_sigmoid_extremes_stay_finite():
-    out = nc.sigmoid(None, nc.constant(np.array([-1e4, 1e4], dtype=np.float32)))
+    out = nc.sigmoid(None, constant(np.array([-1e4, 1e4], dtype=np.float32)))
     assert out.data[0] == 0.0 and out.data[1] == 1.0
 
 
@@ -50,7 +51,7 @@ def test_matmul_against_naive_triple_loop():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2))
-    out = nc.matmul(None, nc.constant(a), nc.constant(b))
+    out = nc.matmul(None, constant(a), constant(b))
     oracle = np.zeros((3, 2))
     for i in range(3):
         for j in range(2):
@@ -64,18 +65,18 @@ def test_matmul_rows_bit_identical_to_rows_computed_alone(dtype):
     # inner dimension 600 spans more than one of the BLAS kernel's blocks over it
     rng = np.random.default_rng(9)
     a = rng.standard_normal((70, 600)).astype(dtype)
-    b = nc.constant(rng.standard_normal((600, 96)).astype(dtype))
-    alone = np.stack([nc.matmul(None, nc.constant(a[i : i + 1]), b).data[0] for i in range(70)])
+    b = constant(rng.standard_normal((600, 96)).astype(dtype))
+    alone = np.stack([nc.matmul(None, constant(a[i : i + 1]), b).data[0] for i in range(70)])
     for n in range(1, 71):
         for start in (0, 3) if n <= 67 else (0,):
-            out = nc.matmul(None, nc.constant(a[start : start + n]), b).data
+            out = nc.matmul(None, constant(a[start : start + n]), b).data
             assert out.dtype == dtype
             assert np.array_equal(out, alone[start : start + n]), f"{n} rows from row {start}"
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        nc.matmul(None, nc.constant(np.ones((2, 3))), nc.constant(np.ones((4, 2))))
+        nc.matmul(None, constant(np.ones((2, 3))), constant(np.ones((4, 2))))
 
 
 def test_backward_of_linear_sum():
@@ -135,12 +136,12 @@ def test_add_accepts_equal_shapes_and_a_trailing_vector(a_shape, b_shape):
                                                ((2, 3), ()), ((), (1,))])
 def test_add_rejects_other_broadcasts(a_shape, b_shape):
     with pytest.raises(ShapeMismatch):
-        nc.add(None, nc.constant(np.ones(a_shape)), nc.constant(np.ones(b_shape)))
+        nc.add(None, constant(np.ones(a_shape)), constant(np.ones(b_shape)))
 
 
 def test_softmax_cross_entropy_probabilities_normalized():
     rng = np.random.default_rng(3)
-    logits = nc.constant(rng.standard_normal((16, 5)))
+    logits = constant(rng.standard_normal((16, 5)))
     labels = rng.integers(0, 5, size=16)
     loss, probs = nc.softmax_cross_entropy(None, logits, labels)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(16), atol=1e-9)
@@ -148,7 +149,7 @@ def test_softmax_cross_entropy_probabilities_normalized():
 
 
 def test_softmax_cross_entropy_uniform_is_log_c():
-    loss, probs = nc.softmax_cross_entropy(None, nc.constant(np.zeros((4, 2))), np.array([0, 1, 0, 1]))
+    loss, probs = nc.softmax_cross_entropy(None, constant(np.zeros((4, 2))), np.array([0, 1, 0, 1]))
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
     np.testing.assert_allclose(probs, 0.5)
 
@@ -168,11 +169,11 @@ def test_softmax_cross_entropy_gradient_matches_probs_minus_onehot():
 def test_max_backward_routes_to_argmax_and_preserves_mass():
     x = nc.Parameter("x", np.array([[[1.0, -2.0], [0.0, 3.0], [1.0, 3.0]]]))
     tape = nc.Tape()
-    out, am = nc.max_over_time(tape, x, np.array([3]))
+    out = nc.max_over_time(tape, x, np.array([3]))
     loss = scalar_sum(tape, out)
     nc.backward(tape, loss)
     # ties go to the first maximal index: feature 0's max is shared by steps 0 and 2
-    assert np.array_equal(am, [[0, 1]])
+    assert np.array_equal(out.data, [[1.0, 3.0]])
     assert np.array_equal(x.grad, [[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]])
     assert x.grad.sum() == 2.0  # one unit per pooled coordinate
 
@@ -181,9 +182,14 @@ def test_max_over_time_masks_padding():
     data = np.zeros((2, 3, 2))
     data[0] = [[1.0, -5.0], [2.0, -6.0], [9.0, 9.0]]  # length 2: step 2 is padding
     data[1] = [[0.0, 1.0], [4.0, -1.0], [-2.0, 7.0]]
-    out, am = nc.max_over_time(None, nc.constant(data), np.array([2, 3]))
+    x = nc.Parameter("x", data)
+    tape = nc.Tape()
+    out = nc.max_over_time(tape, x, np.array([2, 3]))
+    nc.backward(tape, scalar_sum(tape, out))
     assert np.array_equal(out.data, [[2.0, -5.0], [4.0, 7.0]])
-    assert np.array_equal(am, [[1, 0], [1, 2]])
+    # each pooled coordinate's gradient lands on its maximal real step, never on padding
+    assert np.array_equal(np.argmax(x.grad, axis=1), [[1, 0], [1, 2]])
+    assert x.grad.sum() == 4.0 and not x.grad[0, 2].any()
 
 
 def bilstm_params(rng, d, hidden, dtype=np.float64, scale=0.5):
@@ -205,7 +211,7 @@ def test_bilstm_bit_identical_to_unfused_oracle(dtype):
     padded = np.arange(t)[None, :] >= lengths[:, None]
     weights = rng.standard_normal((len(lengths), t, 2 * hidden)).astype(dtype)
     weights[padded] = 0.0  # the oracle runs on through the padding; bilstm holds 0 there
-    weights = nc.constant(weights)
+    weights = constant(weights)
     results = []
     for op in (nc.bilstm, bilstm_unfused):
         tape = nc.Tape()
@@ -229,7 +235,7 @@ def test_bilstm_gradients_match_finite_differences_on_unsorted_lengths():
     lengths = np.array([4, 9, 1, 7, 2, 9, 5])
     x = nc.Parameter("x", rng.standard_normal((len(lengths), t, d)))
     params = [x] + bilstm_params(rng, d, hidden)
-    weights = nc.constant(rng.standard_normal((len(lengths), t, 2 * hidden)))
+    weights = constant(rng.standard_normal((len(lengths), t, 2 * hidden)))
 
     def loss_fn(tape):
         out = nc.bilstm(tape, x, lengths, tuple(params[1:4]), tuple(params[4:]))
@@ -242,28 +248,28 @@ def test_bilstm_gradients_match_finite_differences_on_unsorted_lengths():
 def test_bilstm_overflow_raises():
     # step 0 saturates every gate (h = tanh(1) in both units); step 1's
     # recurrent product 2 * tanh(1) * 1.5e308 overflows
-    x = nc.constant(np.ones((1, 2, 1)))
-    weights = (nc.constant(np.full((8, 1), 50.0)), nc.constant(np.zeros(8)), nc.constant(np.full((8, 2), 1.5e308)))
+    x = constant(np.ones((1, 2, 1)))
+    weights = (constant(np.full((8, 1), 50.0)), constant(np.zeros(8)), constant(np.full((8, 2), 1.5e308)))
     with pytest.raises(NonFiniteValue):
         nc.bilstm(None, x, np.array([2]), weights, weights)
-    assert np.all(np.isfinite(nc.bilstm(None, nc.constant(x.data[:, :1]), np.array([1]), weights, weights).data))
+    assert np.all(np.isfinite(nc.bilstm(None, constant(x.data[:, :1]), np.array([1]), weights, weights).data))
     # the input projection itself overflows: 10 * 1e308
-    big = (nc.constant(np.full((8, 1), 1e308)), weights[1], nc.constant(np.zeros((8, 2))))
+    big = (constant(np.full((8, 1), 1e308)), weights[1], constant(np.zeros((8, 2))))
     with pytest.raises(NonFiniteValue):
-        nc.bilstm(None, nc.constant(np.full((1, 1, 1), 10.0)), np.array([1]), big, big)
+        nc.bilstm(None, constant(np.full((1, 1, 1), 10.0)), np.array([1]), big, big)
 
 
 def test_bilstm_shape_mismatch():
-    x, lengths = nc.constant(np.zeros((2, 3, 5))), np.array([3, 1])
-    good = tuple(nc.constant(np.zeros(shape)) for shape in ((8, 5), (8,), (8, 2)))
+    x, lengths = constant(np.zeros((2, 3, 5))), np.array([3, 1])
+    good = tuple(constant(np.zeros(shape)) for shape in ((8, 5), (8,), (8, 2)))
     for bad_x, bad_lengths, bad_fwd, bad_bwd in [
-        (nc.constant(np.zeros((6, 5))), lengths, good, good),  # input not 3-D
+        (constant(np.zeros((6, 5))), lengths, good, good),  # input not 3-D
         (x, np.array([3, 1, 2]), good, good),  # one length per row
         (x, np.array([4, 1]), good, good),  # a length beyond T
-        (x, lengths, (nc.constant(np.zeros((8, 4))),) + good[1:], good),  # W not (4H, d)
-        (x, lengths, good, good[:1] + (nc.constant(np.zeros(12)),) + good[2:]),  # b not (4H,)
-        (x, lengths, good, tuple(nc.constant(np.zeros(s)) for s in ((12, 5), (12,), (12, 3)))),  # H differs
-        (x, lengths, good[:2] + (nc.constant(np.zeros((8, 3))),), good),  # U is not (4H, H)
+        (x, lengths, (constant(np.zeros((8, 4))),) + good[1:], good),  # W not (4H, d)
+        (x, lengths, good, good[:1] + (constant(np.zeros(12)),) + good[2:]),  # b not (4H,)
+        (x, lengths, good, tuple(constant(np.zeros(s)) for s in ((12, 5), (12,), (12, 3)))),  # H differs
+        (x, lengths, good[:2] + (constant(np.zeros((8, 3))),), good),  # U is not (4H, H)
     ]:
         with pytest.raises(ShapeMismatch):
             nc.bilstm(None, bad_x, bad_lengths, bad_fwd, bad_bwd)
@@ -277,21 +283,21 @@ def op_cases():
     lengths = np.array([5, 2])
     directions = bilstm_params(rng, 3, 2)
     return {
-        "matmul": (nc.constant(x), nc.constant(rng.standard_normal((4, 5)))),
-        "add": (nc.constant(x), nc.constant(rng.standard_normal(4))),
-        "mul": (nc.constant(x), nc.constant(rng.standard_normal((3, 4)))),
-        "concat": ([nc.constant(x), nc.constant(rng.standard_normal((3, 2)))], 1),
-        "narrow": (nc.constant(x), 1, 1, 2),
-        "pick": (nc.constant(x), 0, 2),
-        "sigmoid": (nc.constant(x),),
-        "tanh": (nc.constant(x),),
-        "bilstm": (nc.constant(seq), lengths, tuple(directions[:3]), tuple(directions[3:])),
-        "softmax_cross_entropy": (nc.constant(x), np.array([0, 3, 1])),
-        "max_over_time": (nc.constant(seq), lengths),
-        "rows": (nc.constant(x), np.array([2, 0, 2])),
-        "stack": ([nc.constant(x), nc.constant(x + 1.0)], 1),
-        "reshape": (nc.constant(x), (4, 3)),
-        "reverse_within": (nc.constant(seq), lengths),
+        "matmul": (constant(x), constant(rng.standard_normal((4, 5)))),
+        "add": (constant(x), constant(rng.standard_normal(4))),
+        "mul": (constant(x), constant(rng.standard_normal((3, 4)))),
+        "concat": ([constant(x), constant(rng.standard_normal((3, 2)))], 1),
+        "narrow": (constant(x), 1, 1, 2),
+        "pick": (constant(x), 0, 2),
+        "sigmoid": (constant(x),),
+        "tanh": (constant(x),),
+        "bilstm": (constant(seq), lengths, tuple(directions[:3]), tuple(directions[3:])),
+        "softmax_cross_entropy": (constant(x), np.array([0, 3, 1])),
+        "max_over_time": (constant(seq), lengths),
+        "rows": (constant(x), np.array([2, 0, 2])),
+        "stack": ([constant(x), constant(x + 1.0)], 1),
+        "reshape": (constant(x), (4, 3)),
+        "reverse_within": (constant(seq), lengths),
     }
 
 
@@ -341,7 +347,7 @@ def test_narrow_and_pick_count_a_negative_axis_from_the_end(name, args, axis):
 ])
 def test_indexing_ops_reject_positions_outside_their_input(name, args):
     with pytest.raises(ShapeMismatch):
-        getattr(nc, name)(None, nc.constant(np.zeros((3, 5, 2))), *args)
+        getattr(nc, name)(None, constant(np.zeros((3, 5, 2))), *args)
 
 
 def test_concat_and_narrow_roundtrip_gradients():
@@ -369,7 +375,7 @@ def test_reverse_within_is_an_involution():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((3, 5, 2))
     lengths = np.array([5, 2, 4])
-    once = nc.reverse_within(None, nc.constant(x), lengths)
+    once = nc.reverse_within(None, constant(x), lengths)
     twice = nc.reverse_within(None, once, lengths)
     assert np.array_equal(twice.data, x)
     # row 1, length 2: first two steps swapped, tail untouched
@@ -381,16 +387,16 @@ def test_forward_is_deterministic():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((10, 7)).astype(np.float32)
     b = rng.standard_normal((7, 4)).astype(np.float32)
-    r1 = nc.matmul(None, nc.constant(a), nc.constant(b)).data
-    r2 = nc.matmul(None, nc.constant(a), nc.constant(b)).data
+    r1 = nc.matmul(None, constant(a), constant(b)).data
+    r2 = nc.matmul(None, constant(a), constant(b)).data
     assert np.array_equal(r1, r2)
-    t1 = nc.tanh(None, nc.constant(a)).data
-    t2 = nc.tanh(None, nc.constant(a)).data
+    t1 = nc.tanh(None, constant(a)).data
+    t2 = nc.tanh(None, constant(a)).data
     assert np.array_equal(t1, t2)
 
 
 def test_non_finite_forward_raises():
-    big = nc.constant(np.array([[1e300]]))
+    big = constant(np.array([[1e300]]))
     with pytest.raises(NonFiniteValue):
         nc.mul(None, big, big)
 
@@ -419,7 +425,7 @@ def test_sgd_step_rejects_non_finite_gradient():
 
 def quadratic_loss(theta):
     def loss_fn(tape):
-        shifted = nc.add(tape, theta, nc.constant(np.array([-2.0])))
+        shifted = nc.add(tape, theta, constant(np.array([-2.0])))
         return nc.mul(tape, shifted, shifted)
 
     return loss_fn
@@ -464,7 +470,7 @@ def test_grad_check_flags_corrupted_tanh_backward(monkeypatch):
 
     def loss_fn(tape):
         flat = nc.reshape(tape, nc.tanh(tape, p), (1, 8))
-        ones = nc.constant(np.ones((8, 1)))
+        ones = constant(np.ones((8, 1)))
         return nc.matmul(tape, flat, ones)
 
     clean = nc.grad_check(loss_fn, [p], eps=1e-5, samples=8)
@@ -487,7 +493,7 @@ def test_grad_check_raises_on_a_non_finite_analytic_gradient(monkeypatch):
 
     def loss_fn(tape):
         flat = nc.reshape(tape, nc.tanh(tape, p), (1, 8))
-        return nc.matmul(tape, flat, nc.constant(np.ones((8, 1))))
+        return nc.matmul(tape, flat, constant(np.ones((8, 1))))
 
     monkeypatch.setattr(nc, "tanh", nan_tanh)
     with pytest.raises(NonFiniteValue, match="gradient for p"):
@@ -524,7 +530,7 @@ def test_grad_check_composed_ops_small():
     labels = rng.integers(0, 4, size=5)
 
     def loss_fn(tape):
-        h = nc.tanh(tape, nc.add(tape, nc.matmul(tape, nc.constant(x), w), b))
+        h = nc.tanh(tape, nc.add(tape, nc.matmul(tape, constant(x), w), b))
         loss, _ = nc.softmax_cross_entropy(tape, h, labels)
         return loss
 

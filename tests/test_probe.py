@@ -4,7 +4,7 @@ import pytest
 from fakesent import probe as pb
 from fakesent.corpus import Sentence, build_vocab, init_embeddings
 from fakesent.encoder import SentenceEncoder
-from fakesent.errors import DegenerateBins, InsufficientExamples
+from fakesent.errors import DegenerateBins, InsufficientExamples, MalformedLine
 
 
 def sent(tokens, id):
@@ -294,3 +294,14 @@ def test_run_probes_encodes_each_sentence_once(monkeypatch):
     assert len(seen) == len(set(seen))
     assert set(seen) == {s.id for d in datasets.values() for s in d.sentences()}
     assert len(seen) < sum(len(d.sentences()) for d in datasets.values())  # the tasks do share sentences
+
+
+def test_run_probes_rejects_two_sentences_sharing_an_id():
+    # one encoding per id would hand both sentences the encoding of one of them
+    corpus = length_corpus(np.arange(1, 61))
+    corpus[1] = Sentence(corpus[1].tokens, corpus[0].id)
+    vocab = build_vocab(corpus)
+    rng = np.random.default_rng(6)
+    encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 4, rng), 4, rng)
+    with pytest.raises(MalformedLine, match="sentence id '0'"):
+        pb.run_probes(encoder, corpus, tasks=("sentlen",), cfg=pb.ProbeConfig(max_iterations=5))

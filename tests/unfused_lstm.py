@@ -11,6 +11,7 @@ It runs every row through the padding too, so its states agree with
 import numpy as np
 
 from fakesent import numcore as nc
+from synthetic import constant
 
 
 def transpose(tape, x):
@@ -36,7 +37,7 @@ def lstm_sequence_unfused(tape, proj, u):
     (batch, T, 4H) input projections."""
     b, t, _ = proj.data.shape
     zeros = np.zeros((b, u.data.shape[1]), dtype=proj.data.dtype)
-    h, c = nc.constant(zeros), nc.constant(zeros.copy())
+    h, c = constant(zeros), constant(zeros.copy())
     states = []
     for step in range(t):
         h, c = lstm_cell(tape, nc.pick(tape, proj, axis=1, index=step), h, c, u)
