@@ -154,16 +154,19 @@ SCHEMAS = {
 }
 
 def parse_config_file(path) -> dict[str, str]:
-    values = {}
+    """key -> value of a key=value file; ``#`` starts a comment line, and a key may appear once."""
+    values, set_at = {}, {}
     try:
         for lineno, line in text_lines(path):
             line = line.strip()
-            if not line or line.startswith("#"):
+            if line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ConfigParseError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in set_at:
+                raise ConfigParseError(f"{path}:{lineno}: key {key} already set on line {set_at[key]}")
+            values[key], set_at[key] = value, lineno
     except OSError as e:
         raise ConfigParseError(f"cannot read config {path}: {e}")
     except MalformedLine as e:
@@ -269,11 +272,10 @@ def cmd_encode(cfg) -> int:
     return 0
 
 
-def cmd_evaluate(cfg) -> int:
-    model = ckpt.load_model(cfg["model"])
-    data = fg.load_dataset(cfg["data"])
-    metrics = cl.evaluate(model, data, batch_size=cfg["batch"])
-    text = json.dumps(asdict(metrics), sort_keys=True)
+def _report(cfg, payload: dict) -> int:
+    """Print ``payload`` as one JSON line; with a ``report`` path, also write
+    that line there and the resolved config to ``<report>.config``."""
+    text = json.dumps(payload, sort_keys=True)
     if cfg["report"]:
         with open(cfg["report"], "w", encoding="utf-8") as f:
             f.write(text + "\n")
@@ -282,18 +284,18 @@ def cmd_evaluate(cfg) -> int:
     return 0
 
 
+def cmd_evaluate(cfg) -> int:
+    model = ckpt.load_model(cfg["model"])
+    data = fg.load_dataset(cfg["data"])
+    return _report(cfg, asdict(cl.evaluate(model, data, batch_size=cfg["batch"])))
+
+
 def cmd_probe(cfg) -> int:
     model = ckpt.load_model(cfg["model"])
     corpus = load_corpus(cfg["corpus"])
     probe_cfg = pb.ProbeConfig(l2_grid=cfg["l2_grid"], max_iterations=cfg["max_iter"], tolerance=cfg["tol"])
     results = pb.run_probes(model.encoder, corpus, cfg["tasks"], seed=cfg["seed"], cfg=probe_cfg)
-    payload = {task: r.to_dict() for task, r in results.items()}
-    text = json.dumps(payload, sort_keys=True)
-    with open(cfg["report"], "w", encoding="utf-8") as f:
-        f.write(text + "\n")
-    write_resolved_config(cfg["report"] + ".config", cfg)
-    print(text)
-    return 0
+    return _report(cfg, {task: r.to_dict() for task, r in results.items()})
 
 
 def cmd_gradcheck(cfg) -> int:

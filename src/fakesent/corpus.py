@@ -140,10 +140,7 @@ def load_embeddings(
     """
     table = found = None
     for lineno, line in text_lines(path):
-        fields = line.split()
-        if not fields:
-            continue
-        tok, values = fields[0], fields[1:]
+        tok, *values = line.split()
         if table is None:
             if not values:
                 raise DimensionMismatch(f"{path}:{lineno}: no vector values")
@@ -174,20 +171,24 @@ def load_embeddings(
 
 
 def text_lines(path) -> Iterator[tuple[int, str]]:
-    """(1-based line number, line) for each line of a UTF-8 text file; MalformedLine if not UTF-8.
+    """(1-based line number, line) for each non-blank line of a UTF-8 text file; MalformedLine if not UTF-8.
 
-    A leading byte-order mark is dropped, so a file saved with one reads as one saved without.
+    Whitespace-only lines count as blank. Skipped lines keep their numbers, so each number is the
+    line's place in the file. A leading byte-order mark is dropped, so a file saved with one reads
+    as one saved without.
     """
     with open(path, encoding="utf-8-sig") as f:
         try:
-            yield from enumerate(f, start=1)
+            for lineno, line in enumerate(f, start=1):
+                if line.strip():
+                    yield lineno, line
         except UnicodeDecodeError as e:
             raise MalformedLine(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def load_corpus(path) -> list[Sentence]:
     """One Sentence per non-blank line, ids being 0-based line numbers."""
-    sentences = [tokenize(line, id=str(lineno - 1)) for lineno, line in text_lines(path) if line.strip()]
+    sentences = [tokenize(line, id=str(lineno - 1)) for lineno, line in text_lines(path)]
     if not sentences:
         raise EmptyCorpus(f"{Path(path)}: no sentences")
     return sentences

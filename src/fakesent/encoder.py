@@ -119,6 +119,8 @@ class SentenceEncoder:
         sentences are chunked longest first, which leaves little padding in
         a chunk, and each encoding is written back to its input position.
         """
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if len(sentences) == 0:
             raise EmptyDataset("empty batch")
         order = np.argsort([-len(s) for s in sentences], kind="stable")

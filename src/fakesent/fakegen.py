@@ -212,11 +212,10 @@ def load_dataset(path) -> list[LabeledExample]:
     """One example per non-blank line; a bad record is a MalformedLine naming its path and line."""
     examples = []
     for lineno, line in text_lines(path):
-        if line.strip():
-            try:
-                examples.append(example_from_json(line))
-            except MalformedLine as e:
-                raise MalformedLine(f"{path}:{lineno}: {e}") from None
+        try:
+            examples.append(example_from_json(line))
+        except MalformedLine as e:
+            raise MalformedLine(f"{path}:{lineno}: {e}") from None
     if not examples:
         raise EmptyDataset(f"{path}: no examples")
     return examples

@@ -2,8 +2,9 @@
 
 Three tasks are generable from raw tokens alone:
 
-  sentlen  predict the binned token count of a sentence
-  wc       predict which one of K target words the sentence contains
+  sentlen  predict which of six sextile bins holds a sentence's token count
+  wc       predict which one of the vocabulary's ten mid-frequency target
+           words the sentence contains
   bshift   detect whether one adjacent token pair was swapped
 
 Each generator produces a deterministic 80/10/10 train/valid/test split
@@ -34,6 +35,7 @@ WC = "wc"
 BSHIFT = "bshift"
 TASKS = (SENTLEN, WC, BSHIFT)
 
+WC_TARGETS = 10  # target words of the wc probe
 WC_MIN_PER_CLASS = 10  # exactly-one sentences each wc target word needs
 
 
@@ -99,25 +101,17 @@ def sextile_thresholds(lengths: Sequence[int]) -> list[int]:
     cuts = []
     for k in range(1, 6):
         cuts.append(int(ordered[min(n - 1, (k * n) // 6)]))
-    if any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise DegenerateBins(f"sextile thresholds collapse: {cuts}")
     return cuts
 
 
-def gen_sentlen(
-    sentences: Sequence[Sentence], thresholds: Sequence[int] | None = None, seed: int = 0
-) -> ProbeDataset:
-    """Label each sentence with its length bin.
+def gen_sentlen(sentences: Sequence[Sentence], seed: int = 0) -> ProbeDataset:
+    """Label each sentence with its length bin at the corpus's sextiles.
 
     Bin k holds lengths in (thresholds[k-1], thresholds[k]]; the last bin is
-    open-ended. Default thresholds are the corpus's empirical sextiles.
+    open-ended. DegenerateBins if a bin is empty, which includes every
+    corpus whose sextile cuts collapse.
     """
-    if thresholds is None:
-        thresholds = sextile_thresholds([len(s) for s in sentences])
-    else:
-        thresholds = list(thresholds)
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError("thresholds must be strictly increasing")
+    thresholds = sextile_thresholds([len(s) for s in sentences])
     num_classes = len(thresholds) + 1
     pairs = [(s, bisect_left(thresholds, len(s))) for s in sentences]
     counts = np.bincount([label for _, label in pairs], minlength=num_classes)
@@ -126,31 +120,21 @@ def gen_sentlen(
     return ProbeDataset(SENTLEN, num_classes, *_split(pairs, seed))
 
 
-def default_wc_targets(vocab: Vocabulary, k: int = 10) -> list[str]:
-    """Mid-frequency target words: vocabulary ranks 100..109 when available,
-    otherwise a centered window (stopwords and hapaxes are both poor probes)."""
+def default_wc_targets(vocab: Vocabulary) -> list[str]:
+    """The WC_TARGETS mid-frequency target words: vocabulary ranks 100..109
+    when available, otherwise a centered window (stopwords and hapaxes are
+    both poor probes)."""
     n_tokens = len(vocab) - 2
-    if n_tokens < k:
-        raise InsufficientExamples(f"vocabulary has only {n_tokens} tokens, need {k}")
-    start = 100 if n_tokens >= 100 + k else (n_tokens - k) // 2
-    return [vocab.token(2 + start + i) for i in range(k)]
+    if n_tokens < WC_TARGETS:
+        raise InsufficientExamples(f"vocabulary has only {n_tokens} tokens, need {WC_TARGETS}")
+    start = 100 if n_tokens >= 100 + WC_TARGETS else (n_tokens - WC_TARGETS) // 2
+    return [vocab.token(2 + start + i) for i in range(WC_TARGETS)]
 
 
-def gen_wc(
-    sentences: Sequence[Sentence],
-    targets: Sequence[str] | None = None,
-    vocab: Vocabulary | None = None,
-    seed: int = 0,
-) -> ProbeDataset:
-    """Keep sentences containing exactly one distinct target word; the label
-    is that word's index in the target list."""
-    if targets is None:
-        if vocab is None:
-            raise ValueError("gen_wc needs explicit targets or a vocabulary")
-        targets = default_wc_targets(vocab)
-    targets = list(targets)
-    if len(targets) < 2:
-        raise ValueError("need at least two target words")
+def gen_wc(sentences: Sequence[Sentence], vocab: Vocabulary, seed: int = 0) -> ProbeDataset:
+    """Keep sentences containing exactly one distinct target word of
+    ``default_wc_targets(vocab)``; the label is that word's index there."""
+    targets = default_wc_targets(vocab)
     target_index = {t: i for i, t in enumerate(targets)}
     pairs = []
     for s in sentences:
@@ -207,12 +191,7 @@ class ProbeResult:
 
 
 def fit_logistic(
-    x: np.ndarray,
-    y: np.ndarray,
-    num_classes: int,
-    l2: float,
-    max_iterations: int = 300,
-    tolerance: float = 1e-5,
+    x: np.ndarray, y: np.ndarray, num_classes: int, l2: float, max_iterations: int, tolerance: float
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Multinomial logistic regression by full-batch gradient descent.
 
@@ -315,6 +294,8 @@ def run_probes(
     batch it is encoded in, so one encoding per sentence id serves them all;
     MalformedLine if one id names two different token sequences.
     """
+    if not tasks:
+        raise ValueError("no probing task requested")
     datasets = {}
     for task in tasks:
         if task == SENTLEN:

@@ -236,6 +236,24 @@ def test_probe1_harness_sanity(sep1):
     )
 
 
+def test_probe2_trained_encoder_beats_its_untrained_start(sep1):
+    # an untrained BiLSTM-max is a strong probing baseline (Wieting & Kiela
+    # 2019), so the gate is the gain over the encoder training started from
+    t0 = time.perf_counter()
+    untrained = build_sep_model(sep1["vocab"], 2.0, (32, 16), SEED).encoder
+    trained, start = (pb.run_probes(encoder, sep1["corpus"], tasks=("sentlen", "bshift"), seed=SEED)
+                      for encoder in (sep1["best"].encoder, untrained))
+    bshift, sentlen = ((trained[task].test_accuracy, start[task].test_accuracy)
+                       for task in ("bshift", "sentlen"))
+    elapsed = time.perf_counter() - t0
+    report(
+        "PROBE-2",
+        bshift[0] - bshift[1] >= 0.20,
+        f"(bshift {bshift[0]:.3f} trained vs {bshift[1]:.3f} untrained; sentlen, not gated, "
+        f"{sentlen[0]:.3f} vs {sentlen[1]:.3f}; {elapsed:.0f}s)",
+    )
+
+
 def test_init1_first_batch_loss_near_ln2(sep1):
     model = build_sep_model(sep1["vocab"], emb_scale=2.0, mlp=(32, 16), seed=SEED)
     batch = sep1["train"][:64]

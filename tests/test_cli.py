@@ -354,6 +354,17 @@ def test_config_file_drives_gen_fakes(tiny_corpus, tmp_path, capsys):
     assert resolved["seed"] == "9"
 
 
+@pytest.mark.parametrize("again,first_line", [("seed=2", 3), ("strategy=drop", 2)])
+def test_config_key_set_twice_is_one_usage_error_line(tiny_corpus, tmp_path, capsys, again, first_line):
+    cfg = tmp_path / "gen.cfg"
+    out = tmp_path / "twice.jsonl"
+    cfg.write_text(f"# twice\nstrategy=shuffle\nseed=1\nin={tiny_corpus}\nout={out}\n{again}\n")
+    assert run_cli(["gen-fakes", "--config", cfg]) == 2
+    key = again.partition("=")[0]
+    assert capsys.readouterr().err == f"usage-error: {cfg}:6: key {key} already set on line {first_line}\n"
+    assert not out.exists()
+
+
 def test_module_entrypoint_usage_error():
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(

@@ -8,9 +8,10 @@ import pytest
 
 from fakesent import numcore as nc
 from fakesent.corpus import Sentence, build_vocab, init_embeddings
-from fakesent.classifier import DetectorModel
+from fakesent.classifier import DetectorModel, evaluate
 from fakesent.encoder import SentenceEncoder, init_direction
 from fakesent.errors import EmptyDataset
+from fakesent.fakegen import REAL, LabeledExample
 from synthetic import constant
 from unfused_lstm import assert_grads_close, bilstm_unfused, lstm_cell
 
@@ -278,6 +279,19 @@ def test_empty_batch_raises():
         enc.encode_batch([])
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_encode_batch_rejects_a_batch_size_below_one(batch_size):
+    # unchecked, -1 hands back np.empty's unwritten rows and 0 a bare range() error
+    enc = make_encoder()
+    model = DetectorModel.create(enc, 5, 3, np.random.default_rng(0))
+    sents = [Sentence(("w001", "w002"), "a")]
+    examples = [LabeledExample(sents[0], REAL, None, "a")]
+    for call, items in ((enc.encode_batch, sents), (model.predict_proba, sents), (model.predict, sents),
+                        (lambda data, b: evaluate(model, data, b), examples)):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            call(items, batch_size)
+
+
 def test_zeroing_backward_direction_leaves_forward_half_unchanged():
     enc = make_encoder(seed=12)
     rng = np.random.default_rng(5)
@@ -338,6 +352,42 @@ def test_encode_path_gradients_match_finite_differences():
     err = nc.grad_check(loss_fn, enc.parameters(), eps=1e-5, samples=80,
                         rng=np.random.default_rng(3))
     assert err < 1e-4
+
+
+def test_model_gradient_matches_finite_differences_at_benchmark_lengths():
+    # rows up to 60 steps, as the benchmark pads them: an error in the carry
+    # past the first few steps shows only on long rows
+    enc = make_encoder(n_tokens=30, dim=6, hidden=5, seed=18)
+    model = DetectorModel.create(enc, 6, 4, np.random.default_rng(1))
+    rng = np.random.default_rng(12)
+    idx, lengths = enc.prepare_batch([rand_sentence(rng, enc.vocab, n) for n in (1, 60, 2, 17, 33, 60)])
+    labels = np.array([0, 1, 1, 0, 1, 0])
+    params = model.all_parameters()
+
+    def loss(tape=None):
+        return model.batch_loss(tape, idx, lengths, labels)[0]
+
+    tape = nc.Tape()
+    nc.backward(tape, loss(tape))
+    grads = [p.grad.copy() for p in params]
+    base = [p.value.copy() for p in params]
+    eps = 1e-5
+    worst = 0.0
+    for _ in range(4):
+        direction = [rng.standard_normal(p.value.shape) for p in params]
+        norm = math.sqrt(sum(float((v * v).sum()) for v in direction))
+        direction = [v / norm for v in direction]
+        analytic = sum(float((g * v).sum()) for g, v in zip(grads, direction))
+        values = []
+        for sign in (1.0, -1.0):
+            for p, b, v in zip(params, base, direction):
+                p.value[...] = b + sign * eps * v
+            values.append(loss().data.item())
+        for p, b in zip(params, base):
+            p.value[...] = b
+        numeric = (values[0] - values[1]) / (2 * eps)
+        worst = max(worst, abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric)))
+    assert worst <= 1e-6, f"worst relative error {worst:.3e}"
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

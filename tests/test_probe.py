@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fakesent import probe as pb
-from fakesent.corpus import Sentence, build_vocab, init_embeddings
+from fakesent.corpus import Sentence, Vocabulary, build_vocab, init_embeddings
 from fakesent.encoder import SentenceEncoder
 from fakesent.errors import DegenerateBins, InsufficientExamples, MalformedLine
 
@@ -16,18 +16,13 @@ def length_corpus(lengths):
 
 
 def test_sentlen_binning_examples():
-    corpus = [sent(["a"] * 2, "0"), sent(["a"] * 7, "1"), sent(["a"] * 4, "2"),
-              sent(["a"] * 3, "3"), sent(["a"] * 6, "4"), sent(["a"] * 9, "5")] * 6
-    corpus = [Sentence(s.tokens, str(i)) for i, s in enumerate(corpus)]
-    ds = pb.gen_sentlen(corpus, thresholds=[3, 6], seed=1)
-    labels = {s.tokens and len(s): label for split in (ds.train, ds.valid, ds.test) for s, label in split}
-    assert labels[2] == 0
-    assert labels[3] == 0
-    assert labels[4] == 1
-    assert labels[6] == 1
-    assert labels[7] == 2
-    assert labels[9] == 2
-    assert ds.num_classes == 3
+    # lengths 1..12, six of each: the sextile cuts are 3, 5, 7, 9 and 11, and
+    # each bin holds the lengths above the previous cut up to its own
+    corpus = [Sentence(("a",) * n, str(i)) for i, n in enumerate(np.repeat(np.arange(1, 13), 6))]
+    ds = pb.gen_sentlen(corpus, seed=1)
+    labels = {len(s): label for split in (ds.train, ds.valid, ds.test) for s, label in split}
+    assert labels == {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 2, 7: 2, 8: 3, 9: 3, 10: 4, 11: 4, 12: 5}
+    assert ds.num_classes == 6
 
 
 def test_sentlen_sextile_bins_near_equal():
@@ -45,35 +40,42 @@ def test_sentlen_sextile_bins_near_equal():
 
 
 def test_sentlen_empty_bin_raises():
-    corpus = length_corpus([2] * 30 + [9] * 30)
     with pytest.raises(DegenerateBins):
-        pb.gen_sentlen(corpus, thresholds=[3, 6], seed=0)  # middle bin (4..6) empty
+        pb.gen_sentlen(length_corpus([2] * 30 + [9] * 30), seed=0)  # sextiles collapse on two lengths
     with pytest.raises(DegenerateBins):
-        pb.gen_sentlen(corpus, seed=0)  # sextiles collapse on two distinct lengths
+        # six equal groups: the cuts are the top five lengths, so nothing is above the last
+        pb.gen_sentlen(length_corpus([2, 3, 4, 6, 7, 9] * 6), seed=0)
+
+
+# ten tokens: the default wc targets are the whole vocabulary, in this order
+PETS = Vocabulary(["cat", "dog"] + [f"pet{k}" for k in range(2, 10)])
 
 
 def test_wc_membership_and_exclusion():
+    assert pb.default_wc_targets(PETS) == list(PETS.tokens[2:])
     corpus = [
         sent(["the", "cat", "sat"], "0"),
         sent(["a", "dog", "ran"], "1"),
-        sent(["cat", "and", "dog"], "2"),  # both targets: excluded
-        sent(["no", "pets", "here"], "3"),  # neither: excluded
+        sent(["cat", "and", "dog"], "2"),  # two targets: excluded
+        sent(["no", "pets", "here"], "3"),  # none: excluded
         sent(["cat", "cat", "nap"], "4"),  # repeated target still counts once
-    ] * 12
-    corpus = [Sentence(s.tokens, str(i)) for i, s in enumerate(corpus)]
-    ds = pb.gen_wc(corpus, targets=["cat", "dog"], seed=3)
+    ] + [sent([f"pet{k}", "alone"], f"p{k}") for k in range(2, 10)]
+    corpus = [Sentence(s.tokens, str(i)) for i, s in enumerate(corpus * 12)]
+    ds = pb.gen_wc(corpus, PETS, seed=3)
     rows = [(s, label) for split in (ds.train, ds.valid, ds.test) for s, label in split]
     assert all(("cat" in s.tokens) == (label == 0) for s, label in rows)
     assert all(("dog" in s.tokens) == (label == 1) for s, label in rows)
+    assert all(s.tokens[0] == PETS.token(2 + label) for s, label in rows if label >= 2)
     # counting oracle over the corpus
-    expected = sum(1 for s in corpus if ("cat" in s.tokens) ^ ("dog" in s.tokens))
+    expected = sum(1 for s in corpus if len(set(s.tokens) & set(PETS.tokens[2:])) == 1)
     assert len(rows) == expected
 
 
 def test_wc_starved_class_raises():
-    corpus = [sent(["cat", "x"], str(i)) for i in range(40)] + [sent(["dog", "x"], "d0")]
-    with pytest.raises(InsufficientExamples):
-        pb.gen_wc(corpus, targets=["cat", "dog"], seed=0)
+    corpus = [sent([t, "x"], f"{t}{i}") for t in PETS.tokens[2:] if t != "dog" for i in range(40)]
+    corpus.append(sent(["dog", "x"], "dog0"))
+    with pytest.raises(InsufficientExamples, match=r"\['dog'\]"):
+        pb.gen_wc(corpus, PETS, seed=0)
 
 
 def test_wc_default_targets_are_mid_frequency():
@@ -211,7 +213,7 @@ def test_fit_logistic_keeps_last_accepted_point_when_line_search_underflows():
     rng = np.random.default_rng(3)
     x = 1e10 * rng.standard_normal((20, 2))
     y = rng.integers(0, 2, size=20)
-    w, b, converged = pb.fit_logistic(x, y, 2, l2=0.0, max_iterations=5)
+    w, b, converged = pb.fit_logistic(x, y, 2, l2=0.0, max_iterations=5, tolerance=1e-5)
     assert not converged
     assert np.array_equal(w, np.zeros((2, 2)))
     assert np.array_equal(b, np.zeros(2))
@@ -305,3 +307,12 @@ def test_run_probes_rejects_two_sentences_sharing_an_id():
     encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 4, rng), 4, rng)
     with pytest.raises(MalformedLine, match="sentence id '0'"):
         pb.run_probes(encoder, corpus, tasks=("sentlen",), cfg=pb.ProbeConfig(max_iterations=5))
+
+
+def test_run_probes_rejects_an_empty_task_list():
+    corpus = length_corpus(np.arange(1, 61))
+    vocab = build_vocab(corpus)
+    rng = np.random.default_rng(6)
+    encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 4, rng), 4, rng)
+    with pytest.raises(ValueError, match="no probing task"):
+        pb.run_probes(encoder, corpus, tasks=())
