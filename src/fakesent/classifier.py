@@ -10,6 +10,7 @@ checkpoint of the best epoch (ties resolve to the earliest).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -110,10 +111,6 @@ class DetectorModel:
     def all_parameters(self) -> list[nc.Parameter]:
         return self.encoder.parameters() + self.head.parameters()
 
-    def trainable_parameters(self, freeze_embeddings: bool = False) -> list[nc.Parameter]:
-        frozen = self.encoder.embedding if freeze_embeddings else None
-        return [p for p in self.all_parameters() if p is not frozen]
-
     def batch_loss(
         self, tape: nc.Tape | None, idx: np.ndarray, lengths: np.ndarray, labels: np.ndarray
     ) -> tuple[nc.Tensor, np.ndarray]:
@@ -152,10 +149,6 @@ class TrainReport:
     best_valid_accuracy: float = 0.0
 
 
-def _accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
-    return float((predictions == labels).mean())
-
-
 def train(
     model: DetectorModel,
     train_data: Sequence[LabeledExample],
@@ -175,18 +168,16 @@ def train(
     train_labels = np.array([ex.label for ex in train_data], dtype=np.int64)
     if len(set(train_labels.tolist())) < 2:
         raise SingleClassData("train split contains a single class")
-    valid_sentences = [ex.sentence for ex in valid_data]
-    valid_labels = np.array([ex.label for ex in valid_data], dtype=np.int64)
-
-    params = model.trainable_parameters(cfg.freeze_embeddings)
+    frozen = model.encoder.embedding if cfg.freeze_embeddings else None
+    params = [p for p in model.all_parameters() if p is not frozen]
     # sgd_step zeroes only what it trains: drop any gradient a frozen run left behind
     for p in model.all_parameters():
         p.zero_grad()
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
     report = TrainReport()
-    metrics_file = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
-    try:
+    with (open(metrics_path, "w", encoding="utf-8") if metrics_path
+          else contextlib.nullcontext()) as metrics_file:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(len(train_data))
             loss_sum = 0.0
@@ -205,7 +196,7 @@ def train(
                     raise DivergedTraining(f"epoch {epoch}: {e}") from e
                 loss_sum += loss_val * len(batch_ids)
                 correct += int(((probs[:, REAL] >= 0.5).astype(np.int64) == labels).sum())
-            valid_acc = _accuracy(model.predict(valid_sentences, cfg.batch_size), valid_labels)
+            valid_acc = evaluate(model, valid_data, cfg.batch_size).accuracy
             stats = EpochStats(
                 epoch=epoch,
                 train_loss=loss_sum / len(train_data),
@@ -222,9 +213,6 @@ def train(
                 ckpt.save_model(checkpoint_path, model)
             else:
                 lr *= cfg.lr_decay_factor
-    finally:
-        if metrics_file:
-            metrics_file.close()
     return report
 
 
@@ -258,4 +246,4 @@ def evaluate(model: DetectorModel, data: Sequence[LabeledExample], batch_size: i
             recall=tp / (tp + fn) if tp + fn else 0.0,
             support=int((labels == cls).sum()),
         )
-    return EvalMetrics(accuracy=_accuracy(preds, labels), per_class=per_class, count=len(data))
+    return EvalMetrics(accuracy=float((preds == labels).mean()), per_class=per_class, count=len(data))

@@ -249,13 +249,11 @@ def cmd_train(cfg) -> int:
     train_cfg = cl.TrainConfig(batch_size=cfg["batch"], epochs=cfg["epochs"], learning_rate=cfg["lr"],
                                lr_decay_factor=cfg["lr_decay"], seed=cfg["seed"],
                                freeze_embeddings=cfg["freeze_embeddings"])
-    metrics_path = cfg["metrics"] or cfg["out"] + ".metrics.jsonl"
-    resolved = dict(cfg)
-    resolved["metrics"] = str(metrics_path)
-    write_resolved_config(cfg["out"] + ".config", resolved)
-    report = cl.train(model, train_data, valid_data, train_cfg, cfg["out"], metrics_path)
+    cfg["metrics"] = cfg["metrics"] or cfg["out"] + ".metrics.jsonl"
+    write_resolved_config(cfg["out"] + ".config", cfg)
+    report = cl.train(model, train_data, valid_data, train_cfg, cfg["out"], cfg["metrics"])
     print(json.dumps({"best_epoch": report.best_epoch, "best_valid_accuracy": report.best_valid_accuracy,
-                      "checkpoint": cfg["out"], "metrics": str(metrics_path)}))
+                      "checkpoint": cfg["out"], "metrics": cfg["metrics"]}))
     return 0
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyCorpus,
-    EmptyLine,
     EmptySentence,
     MalformedLine,
 )
@@ -48,11 +47,8 @@ class Sentence:
 
 
 def tokenize(line: str, id: str = "") -> Sentence:
-    """Lower-case and whitespace-split a raw line into a Sentence."""
-    tokens = line.lower().split()
-    if not tokens:
-        raise EmptyLine("no tokens after trimming")
-    return Sentence(tuple(tokens), id)
+    """Lower-case and whitespace-split a raw line into a Sentence (EmptySentence if it has no token)."""
+    return Sentence(tuple(line.lower().split()), id)
 
 
 class Vocabulary:

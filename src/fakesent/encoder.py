@@ -69,6 +69,8 @@ class SentenceEncoder:
     ) -> "SentenceEncoder":
         """Encoder over a copy of the (V, d) embedding ``table``, whose dtype
         every parameter takes; training never writes into the caller's array."""
+        if hidden < 1:
+            raise ValueError("hidden must be >= 1")
         if table.ndim != 2 or table.shape[0] != len(vocab):
             raise ShapeMismatch("embedding table must be (V, d) with V the vocabulary size")
         embedding = nc.Parameter("embedding", table.copy())

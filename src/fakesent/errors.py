@@ -13,10 +13,6 @@ class DataError(FakesentError):
     """Bad or insufficient input data."""
 
 
-class EmptyLine(DataError):
-    pass
-
-
 class EmptyCorpus(DataError):
     pass
 

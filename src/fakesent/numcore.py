@@ -108,7 +108,7 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
-BackwardFn = Callable[[np.ndarray], Sequence[np.ndarray | None]]
+BackwardFn = Callable[[np.ndarray], Sequence[np.ndarray]]
 
 
 class Tape:
@@ -167,10 +167,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     for out, inputs, fn in reversed(tape._records):
         if out.grad is None:
             continue
-        grads = fn(out.grad)
-        for t, g in zip(inputs, grads):
-            if g is None:
-                continue
+        for t, g in zip(inputs, fn(out.grad)):
             _accumulate(t, g)
         out.grad = None
 
@@ -471,10 +468,12 @@ def max_over_time(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> Tensor:
     Positions at or beyond each row's length are excluded, so padding can
     never leak into the pooled output (``bilstm`` holds 0 there, which would
     beat a feature that is negative at every real position). Ties go to the
-    earliest maximal position, which alone receives the gradient.
+    earliest maximal position, which alone receives the gradient. Each
+    length must lie in [1, T]: a max over no position is undefined.
     """
+    lengths = _check_lengths(x.data.shape, lengths, least=1)
     b, t, k = x.data.shape
-    mask = np.arange(t)[None, :] >= np.asarray(lengths)[:, None]  # True where padded
+    mask = np.arange(t)[None, :] >= lengths[:, None]  # True where padded
     masked = x.data.copy()
     masked[mask] = -np.inf
     am = np.argmax(masked, axis=1)  # (b, k)
@@ -489,10 +488,12 @@ def max_over_time(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> Tensor:
 
 
 def rows(tape: Tape | None, table: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows of a 2-D table by integer index array (embedding lookup)."""
+    """Gather rows of a 2-D (V, d) table by an index array with entries in [0, V) (embedding lookup)."""
     if table.data.ndim != 2:
         raise ShapeMismatch(f"rows needs a 2-D table, got {table.data.shape}")
     indices = np.asarray(indices)
+    if indices.size and (indices.min() < 0 or indices.max() >= len(table.data)):
+        raise ShapeMismatch(f"rows indices must lie in [0, {len(table.data)})")
 
     def back(g):
         gt = np.zeros_like(table.data)
@@ -514,11 +515,11 @@ def reshape(tape: Tape | None, x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _out(tape, x.data.reshape(shape), (x,), lambda g: (g.reshape(orig),))
 
 
-def _check_lengths(shape: tuple[int, ...], lengths) -> np.ndarray:
-    """``lengths`` as an array; ShapeMismatch unless it holds one length in [0, T] per row
+def _check_lengths(shape: tuple[int, ...], lengths, least: int = 0) -> np.ndarray:
+    """``lengths`` as an array; ShapeMismatch unless it holds one length in [least, T] per row
     of a (batch, T, ...) array of ``shape``."""
     lengths = np.asarray(lengths)
-    if len(shape) < 2 or lengths.shape != shape[:1] or np.any((lengths < 0) | (lengths > shape[1])):
+    if len(shape) < 2 or lengths.shape != shape[:1] or np.any((lengths < least) | (lengths > shape[1])):
         raise ShapeMismatch(f"lengths {lengths.tolist()} for a (batch, T, ...) input {shape}")
     return lengths
 

@@ -108,9 +108,11 @@ def gen_sentlen(sentences: Sequence[Sentence], seed: int = 0) -> ProbeDataset:
     """Label each sentence with its length bin at the corpus's sextiles.
 
     Bin k holds lengths in (thresholds[k-1], thresholds[k]]; the last bin is
-    open-ended. DegenerateBins if a bin is empty, which includes every
-    corpus whose sextile cuts collapse.
+    open-ended. InsufficientExamples without sentences; DegenerateBins if a
+    bin is empty, which includes every corpus whose sextile cuts collapse.
     """
+    if not sentences:
+        raise InsufficientExamples("no sentence to bin for sentlen")
     thresholds = sextile_thresholds([len(s) for s in sentences])
     num_classes = len(thresholds) + 1
     pairs = [(s, bisect_left(thresholds, len(s))) for s in sentences]

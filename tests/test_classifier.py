@@ -222,6 +222,19 @@ def test_lr_decays_on_plateau(tmp_path):
     )
 
 
+def test_train_validates_with_evaluate(tmp_path):
+    rng = np.random.default_rng(31)
+    data = separable_dataset(60, rng)
+    vocab_tokens = [f"r{i}" for i in range(8)] + [f"f{i}" for i in range(8)]
+    model = build_model(vocab_tokens, seed=8)
+    valid = data[40:]
+    cfg = cl.TrainConfig(batch_size=16, epochs=1, learning_rate=1e-3, seed=6)
+    report = cl.train(model, data[:40], valid, cfg, tmp_path / "m.ckpt")
+    accuracy = cl.evaluate(model, valid).accuracy
+    assert 0.0 < accuracy < 1.0
+    assert report.epochs[0].valid_accuracy == accuracy == report.best_valid_accuracy
+
+
 def test_evaluate_all_correct_and_constant_predictor():
     rng = np.random.default_rng(29)
     data = separable_dataset(80, rng)

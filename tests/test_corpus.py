@@ -9,7 +9,6 @@ from fakesent import corpus as cp
 from fakesent.errors import (
     DimensionMismatch,
     EmptyCorpus,
-    EmptyLine,
     EmptySentence,
     MalformedLine,
 )
@@ -29,7 +28,7 @@ def test_tokenize_single_token():
 
 
 def test_tokenize_whitespace_only_raises():
-    with pytest.raises(EmptyLine):
+    with pytest.raises(EmptySentence):
         cp.tokenize("   ")
 
 
@@ -37,7 +36,7 @@ def test_tokenize_whitespace_only_raises():
 def test_tokenize_idempotent_on_rejoined_output(line):
     try:
         first = cp.tokenize(line)
-    except EmptyLine:
+    except EmptySentence:
         return
     second = cp.tokenize(" ".join(first.tokens))
     assert second.tokens == first.tokens

@@ -292,6 +292,14 @@ def test_encode_batch_rejects_a_batch_size_below_one(batch_size):
             call(items, batch_size)
 
 
+@pytest.mark.parametrize("hidden", [0, -1])
+def test_create_rejects_a_hidden_width_below_one(hidden):
+    vocab = make_vocab(5)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="hidden must be >= 1"):
+        SentenceEncoder.create(vocab, init_embeddings(vocab, 4, rng), hidden, rng)
+
+
 def test_zeroing_backward_direction_leaves_forward_half_unchanged():
     enc = make_encoder(seed=12)
     rng = np.random.default_rng(5)

@@ -275,6 +275,18 @@ def test_bilstm_shape_mismatch():
             nc.bilstm(None, bad_x, bad_lengths, bad_fwd, bad_bwd)
 
 
+def test_max_over_time_rejects_lengths_it_cannot_pool_over():
+    x = constant(np.zeros((2, 3, 4)))
+    for bad_lengths in [
+        np.array([0, 3]),  # a max over no position
+        np.array([-1, 3]),  # a negative length
+        np.array([5, 3]),  # a length beyond T
+        np.array([3, 1, 2]),  # one length per row
+    ]:
+        with pytest.raises(ShapeMismatch):
+            nc.max_over_time(None, x, bad_lengths)
+
+
 def op_cases():
     """One call per op of ``__all__`` that takes a tape: op name -> args after the tape."""
     rng = np.random.default_rng(17)
@@ -369,6 +381,14 @@ def test_rows_gather_accumulates_duplicate_indices():
     loss = scalar_sum(tape, out)
     nc.backward(tape, loss)
     assert np.array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
+
+
+def test_rows_rejects_indices_outside_the_table():
+    table = constant(np.arange(8, dtype=float).reshape(4, 2))
+    for bad in (np.array([-1]), np.array([[0, 4]])):  # the last row counted from the end; past V
+        with pytest.raises(ShapeMismatch):
+            nc.rows(None, table, bad)
+    assert nc.rows(None, table, np.zeros((2, 0), dtype=np.int64)).data.shape == (2, 0, 2)
 
 
 def test_reverse_within_is_an_involution():

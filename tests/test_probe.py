@@ -316,3 +316,14 @@ def test_run_probes_rejects_an_empty_task_list():
     encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 4, rng), 4, rng)
     with pytest.raises(ValueError, match="no probing task"):
         pb.run_probes(encoder, corpus, tasks=())
+
+
+def test_every_generator_rejects_an_empty_sentence_list():
+    vocab = build_vocab(length_corpus(np.arange(1, 61)))
+    for gen in (pb.gen_sentlen, lambda s: pb.gen_wc(s, vocab), pb.gen_bshift):
+        with pytest.raises(InsufficientExamples):
+            gen([])
+    rng = np.random.default_rng(6)
+    encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 4, rng), 4, rng)
+    with pytest.raises(InsufficientExamples):
+        pb.run_probes(encoder, [], tasks=("sentlen",))
