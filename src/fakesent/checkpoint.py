@@ -91,10 +91,11 @@ def _read_param(f: BinaryIO) -> nc.Parameter:
         raise CheckpointFormatError(f"unknown dtype code {code!r}")
     dtype = _DTYPES[code]
     # in Python ints, so a corrupted shape cannot overflow, and checked before
-    # reading, so it cannot ask for more memory than the file holds
+    # reading, so it cannot ask for more memory than the file holds; no model
+    # parameter is empty, and a zero dimension would hide the others' product
     nbytes = math.prod(shape) * dtype.itemsize
-    if nbytes > _bytes_left(f):
-        raise CheckpointFormatError(f"parameter {name!r} of shape {shape} overruns the file")
+    if 0 in shape or nbytes > _bytes_left(f):
+        raise CheckpointFormatError(f"parameter {name!r} of shape {shape} is empty or overruns the file")
     value = np.empty(shape, dtype=dtype)  # read in place: no second copy of a large table
     if f.readinto(value) != nbytes:
         raise CheckpointFormatError("truncated checkpoint")

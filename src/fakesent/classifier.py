@@ -170,9 +170,6 @@ def train(
         raise SingleClassData("train split contains a single class")
     frozen = model.encoder.embedding if cfg.freeze_embeddings else None
     params = [p for p in model.all_parameters() if p is not frozen]
-    # sgd_step zeroes only what it trains: drop any gradient a frozen run left behind
-    for p in model.all_parameters():
-        p.zero_grad()
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
     report = TrainReport()
@@ -186,6 +183,9 @@ def train(
                 batch_ids = order[start : start + cfg.batch_size]
                 idx, lengths = model.encoder.prepare_batch([train_data[i].sentence for i in batch_ids])
                 labels = train_labels[batch_ids]
+                # sgd_step drops only the gradients it applies; a frozen table's goes here
+                for p in model.all_parameters():
+                    p.zero_grad()
                 try:
                     tape = nc.Tape()
                     loss, probs = model.batch_loss(tape, idx, lengths, labels)

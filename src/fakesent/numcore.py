@@ -2,14 +2,15 @@
 
 Everything the encoder and classifier compute is assembled from the ops in
 this module. There is one node type: a Parameter is a Tensor that adds a
-name and a gradient buffer that lives across steps, so every op takes one
-wherever it takes a Tensor and ``backward`` adds its gradient straight into
-``param.grad``; one forward serves training and inference. There is one
-output rule: each op computes its forward value eagerly on numpy arrays and
-returns it through ``_out``, which wraps it in a Tensor and, when a Tape is
-supplied, records the op's backward closure; only ``softmax_cross_entropy``
-returns anything beside it (its probabilities). ``backward`` replays the
-tape in reverse and accumulates gradients into the Parameters it reaches.
+name, so every op takes one wherever it takes a Tensor; one forward serves
+training and inference. There is one gradient rule: ``grad`` is None until
+``backward`` reaches a tensor, and the update that consumes it drops it, so
+no gradient outlives a step. There is one output rule: each op computes its
+forward value eagerly on numpy arrays and returns it through ``_out``,
+which wraps it in a Tensor and, when a Tape is supplied, records the op's
+backward closure; only ``softmax_cross_entropy`` returns anything beside it
+(its probabilities). ``backward`` replays the tape in reverse and sums each
+tensor's gradient contributions.
 
 The encoder's BiLSTM is one fused op, ``bilstm``, with one hand-written
 backpropagation-through-time rule, so a training step's tape length does not
@@ -82,11 +83,9 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A Tensor with a name whose gradient buffer persists across steps.
-
-    ``grad`` is never None: ``backward`` accumulates into it and
-    ``zero_grad`` clears it in place. ``value`` is a read-only name for
-    ``data``; write a new value into the array, not the attribute.
+    """A Tensor with a name. Its ``grad`` is None until ``backward`` reaches it,
+    then held until ``sgd_step`` or ``zero_grad`` drops it. ``value`` is a
+    read-only name for ``data``; write a new value into the array, not the attribute.
     """
 
     __slots__ = ("name",)
@@ -94,15 +93,13 @@ class Parameter(Tensor):
     def __init__(self, name: str, value: np.ndarray):
         super().__init__(value)
         self.name = name
-        # not zeros_like: fresh zero pages stay unwritten when nothing is trained
-        self.grad = np.zeros(value.shape, dtype=value.dtype)
 
     @property
     def value(self) -> np.ndarray:
         return self.data
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0
+        self.grad = None
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -146,18 +143,18 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    # out of place: a backward rule may hand one array to several inputs (add does)
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Reverse sweep: accumulate d(loss)/d(param) into each Parameter the tape reaches.
+    """Reverse sweep: d(loss)/d(t) into ``t.grad`` for each tensor the tape reaches.
 
+    A tensor's first gradient is stored as is, later ones are added to it.
     Intermediate gradients are freed as soon as their record has been
-    processed; only Parameter.grad survives the sweep. Gradients are not
-    checked for finiteness here: ``sgd_step`` and ``grad_check`` check the
-    ones they use.
+    processed; only the tape's inputs, such as Parameters, keep theirs.
+    Gradients are not checked for finiteness here: ``sgd_step`` and
+    ``grad_check`` check the ones they use.
     """
     if loss.data.size != 1:
         raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")
@@ -173,8 +170,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def sgd_step(params: Sequence[Parameter], learning_rate: float) -> None:
-    """value <- value - lr * grad for every parameter, then zero the grads."""
+    """value <- value - lr * grad, then drop grad; a parameter without one is left as is."""
     for p in params:
+        if p.grad is None:
+            continue
         if not np.isfinite(p.grad).all():
             raise NonFiniteValue(f"non-finite gradient for {p.name}")
         p.data -= learning_rate * p.grad
@@ -380,8 +379,6 @@ def bilstm(
     of the rows still running and no step computes padding.
     """
     xd = x.data
-    if xd.ndim != 3:
-        raise ShapeMismatch(f"bilstm input {xd.shape} is not (batch, T, d)")
     lengths = _check_lengths(xd.shape, lengths)
     bsz, t, d = xd.shape
     hidden = fwd[2].data.shape[-1]
@@ -488,12 +485,12 @@ def max_over_time(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> Tensor:
 
 
 def rows(tape: Tape | None, table: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows of a 2-D (V, d) table by an index array with entries in [0, V) (embedding lookup)."""
+    """Embedding lookup: rows of a 2-D (V, d) table by integer indices in [0, V), never a boolean mask."""
     if table.data.ndim != 2:
         raise ShapeMismatch(f"rows needs a 2-D table, got {table.data.shape}")
     indices = np.asarray(indices)
-    if indices.size and (indices.min() < 0 or indices.max() >= len(table.data)):
-        raise ShapeMismatch(f"rows indices must lie in [0, {len(table.data)})")
+    if indices.dtype.kind not in "iu" or np.any((indices < 0) | (indices >= len(table.data))):
+        raise ShapeMismatch(f"rows indices must be integers in [0, {len(table.data)})")
 
     def back(g):
         gt = np.zeros_like(table.data)
@@ -516,17 +513,17 @@ def reshape(tape: Tape | None, x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def _check_lengths(shape: tuple[int, ...], lengths, least: int = 0) -> np.ndarray:
-    """``lengths`` as an array; ShapeMismatch unless it holds one length in [least, T] per row
-    of a (batch, T, ...) array of ``shape``."""
+    """``lengths`` as an array; ShapeMismatch unless ``shape`` is a (batch, T, features) input
+    and ``lengths`` holds one length in [least, T] per row."""
     lengths = np.asarray(lengths)
-    if len(shape) < 2 or lengths.shape != shape[:1] or np.any((lengths < least) | (lengths > shape[1])):
-        raise ShapeMismatch(f"lengths {lengths.tolist()} for a (batch, T, ...) input {shape}")
+    if len(shape) != 3 or lengths.shape != shape[:1] or np.any((lengths < least) | (lengths > shape[1])):
+        raise ShapeMismatch(f"lengths {lengths.tolist()} for a (batch, T, features) input {shape}")
     return lengths
 
 
 def _reversal(shape: tuple[int, ...], lengths) -> tuple[np.ndarray, np.ndarray]:
-    """Index pair reversing each row's first ``lengths[r]`` steps of a (batch, T, ...) array of
-    ``shape``, tail in order (an involution)."""
+    """Index pair reversing each row's first ``lengths[r]`` steps of a (batch, T, features)
+    array of ``shape``, tail in order (an involution)."""
     lengths = _check_lengths(shape, lengths)
     ar = np.arange(shape[1])[None, :]
     return np.arange(shape[0])[:, None], np.where(ar < lengths[:, None], lengths[:, None] - 1 - ar, ar)
@@ -580,7 +577,7 @@ def grad_check(
     tape = Tape()
     loss = model_loss(tape)
     backward(tape, loss)
-    analytic = [p.grad.copy() for p in params]
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
     for p, a in zip(params, analytic):
         # the worst-error scan below cannot see a NaN: max(0.0, nan) is 0.0
         if not np.isfinite(a).all():

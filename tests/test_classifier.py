@@ -386,6 +386,9 @@ def swap_names(raw, a, b):
         lambda raw: raw[:8] + struct.pack("<I", 0xFFFFFFFF) + raw[12:],
         # the embedding's first dimension, right after its name and ndim byte
         lambda raw: raw.replace(b"embedding\x02" + struct.pack("<I", 5), b"embedding\x02" + struct.pack("<I", 2**32 - 1)),
+        # zero bytes pass the overrun check, but the other dimensions' product overflows int64
+        lambda raw: raw.replace(b"embedding\x02" + struct.pack("<II", 5, 2),
+                                b"embedding\x03" + struct.pack("<III", 2**32 - 1, 2**32 - 1, 0)),
         lambda raw: raw.replace(b"\x01\x00c", b"\x01\x00a", 1),
         # head.b3 is the last block
         lambda raw: with_param_count(raw, 12)[: raw.rindex(b"\x07\x00head.b3")],
@@ -398,8 +401,8 @@ def swap_names(raw, a, b):
         lambda raw: raw + b"\x00",
     ],
     ids=["header-not-utf8", "token-not-utf8", "header-not-object", "header-mlp-short",
-         "header-no-H", "header-float-d", "header-overruns", "param-overruns", "repeated-token",
-         "param-missing", "param-unexpected", "param-misshapen", "header-V-not-vocab",
+         "header-no-H", "header-float-d", "header-overruns", "param-overruns", "param-empty-overflows",
+         "repeated-token", "param-missing", "param-unexpected", "param-misshapen", "header-V-not-vocab",
          "header-precision-float16", "param-not-header-precision", "param-repeated",
          "bytes-after-params"],
 )

@@ -285,6 +285,8 @@ def test_max_over_time_rejects_lengths_it_cannot_pool_over():
     ]:
         with pytest.raises(ShapeMismatch):
             nc.max_over_time(None, x, bad_lengths)
+    with pytest.raises(ShapeMismatch):  # not (batch, T, features)
+        nc.max_over_time(None, constant(np.zeros((2, 3))), np.array([1, 2]))
 
 
 def op_cases():
@@ -388,6 +390,10 @@ def test_rows_rejects_indices_outside_the_table():
     for bad in (np.array([-1]), np.array([[0, 4]])):  # the last row counted from the end; past V
         with pytest.raises(ShapeMismatch):
             nc.rows(None, table, bad)
+    # a boolean mask (numpy would gather rows 0 and 2), one of another length, float indices
+    for bad in (np.array([True, False, True, False]), np.array([True, False]), np.array([0.0, 2.0])):
+        with pytest.raises(ShapeMismatch):
+            nc.rows(None, table, bad)
     assert nc.rows(None, table, np.zeros((2, 0), dtype=np.int64)).data.shape == (2, 0, 2)
 
 
@@ -423,24 +429,44 @@ def test_non_finite_forward_raises():
 
 def test_sgd_step_arithmetic():
     p = nc.Parameter("p", np.array([1.0]))
-    p.grad[:] = 0.5
+    p.grad = np.array([0.5])
     nc.sgd_step([p], 0.1)
     assert np.allclose(p.value, [0.95])
-    assert np.array_equal(p.grad, [0.0])
+    assert p.grad is None
 
 
 def test_sgd_step_zero_lr_is_identity():
     p = nc.Parameter("p", np.array([1.0, -2.0]))
-    p.grad[:] = [3.0, 4.0]
+    p.grad = np.array([3.0, 4.0])
     nc.sgd_step([p], 0.0)
     assert np.array_equal(p.value, [1.0, -2.0])
+    assert p.grad is None
 
 
 def test_sgd_step_rejects_non_finite_gradient():
     p = nc.Parameter("p", np.array([1.0]))
-    p.grad[:] = np.inf
+    p.grad = np.array([np.inf])
     with pytest.raises(NonFiniteValue):
         nc.sgd_step([p], 0.1)
+
+
+def test_sgd_step_leaves_a_parameter_without_a_gradient_unchanged():
+    p = nc.Parameter("p", np.array([1.0, -2.0]))
+    assert p.grad is None
+    nc.sgd_step([p], 0.1)
+    assert np.array_equal(p.value, [1.0, -2.0])
+    assert p.grad is None
+
+
+def test_a_gradient_array_handed_to_two_inputs_is_never_written_into():
+    # loss = (p1 + p2) + 5 p1, with 5 p1 taped first: the inner add hands one
+    # array to p1 and p2, and p1's later 5 must not be added into it
+    p1, p2 = nc.Parameter("p1", np.array([2.0])), nc.Parameter("p2", np.array([3.0]))
+    tape = nc.Tape()
+    scaled = nc.mul(tape, p1, constant(np.array([5.0])))
+    nc.backward(tape, nc.add(tape, nc.add(tape, p1, p2), scaled))
+    assert np.array_equal(p1.grad, [6.0])
+    assert np.array_equal(p2.grad, [1.0])
 
 
 def quadratic_loss(theta):
