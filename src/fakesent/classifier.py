@@ -1,11 +1,12 @@
 """Real/fake classification head and the SGD training loop.
 
-The head is a two-hidden-layer MLP with tanh activations and a 2-way
-softmax output; class 1 is REAL, class 0 is FAKE. Training shuffles the
-train split each epoch with a seeded generator, runs minibatch SGD on the
-fused softmax cross-entropy, validates after every epoch, halves the
-learning rate whenever validation accuracy fails to improve, and keeps the
-checkpoint of the best epoch (ties resolve to the earliest).
+The head is a two-hidden-layer MLP with tanh activations and a 2-way softmax
+output; class 1 is REAL, class 0 is FAKE. Training shuffles the train split
+each epoch with a seeded generator, runs minibatch SGD on the fused softmax
+cross-entropy, validates after every epoch, halves the learning rate
+whenever validation accuracy fails to improve, and keeps the checkpoint of
+the best epoch (ties resolve to the earliest). A non-finite value in an
+epoch's steps or validation raises DivergedTraining, naming the epoch.
 """
 
 from __future__ import annotations
@@ -179,24 +180,21 @@ def train(
             order = rng.permutation(len(train_data))
             loss_sum = 0.0
             correct = 0
-            for start in range(0, len(order), cfg.batch_size):
-                batch_ids = order[start : start + cfg.batch_size]
-                idx, lengths = model.encoder.prepare_batch([train_data[i].sentence for i in batch_ids])
-                labels = train_labels[batch_ids]
-                # sgd_step drops only the gradients it applies; a frozen table's goes here
-                for p in model.all_parameters():
-                    p.zero_grad()
-                try:
+            try:
+                for start in range(0, len(order), cfg.batch_size):
+                    batch_ids = order[start : start + cfg.batch_size]
+                    idx, lengths = model.encoder.prepare_batch([train_data[i].sentence for i in batch_ids])
+                    labels = train_labels[batch_ids]
                     tape = nc.Tape()
                     loss, probs = model.batch_loss(tape, idx, lengths, labels)
-                    loss_val = loss.data.item()
                     nc.backward(tape, loss)
                     nc.sgd_step(params, lr)
-                except NonFiniteValue as e:
-                    raise DivergedTraining(f"epoch {epoch}: {e}") from e
-                loss_sum += loss_val * len(batch_ids)
-                correct += int(((probs[:, REAL] >= 0.5).astype(np.int64) == labels).sum())
-            valid_acc = evaluate(model, valid_data, cfg.batch_size).accuracy
+                    model.encoder.embedding.zero_grad()  # a frozen table's gradient, which sgd_step skips
+                    loss_sum += loss.data.item() * len(batch_ids)
+                    correct += int(((probs[:, REAL] >= 0.5).astype(np.int64) == labels).sum())
+                valid_acc = evaluate(model, valid_data, cfg.batch_size).accuracy
+            except NonFiniteValue as e:
+                raise DivergedTraining(f"epoch {epoch}: {e}") from e
             stats = EpochStats(
                 epoch=epoch,
                 train_loss=loss_sum / len(train_data),

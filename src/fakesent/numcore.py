@@ -1,15 +1,16 @@
 """Minimal dense-tensor core: tape-based reverse-mode differentiation and SGD.
 
 Everything the encoder and classifier compute is assembled from the ops in
-this module. There is one node type: a Parameter is a Tensor that adds a
-name, so every op takes one wherever it takes a Tensor; one forward serves
-training and inference. There is one gradient rule: ``grad`` is None until
-``backward`` reaches a tensor, and the update that consumes it drops it, so
-no gradient outlives a step. There is one output rule: each op computes its
-forward value eagerly on numpy arrays and returns it through ``_out``,
-which wraps it in a Tensor and, when a Tape is supplied, records the op's
-backward closure; only ``softmax_cross_entropy`` returns anything beside it
-(its probabilities). ``backward`` replays the tape in reverse and sums each
+this module. There is one node type: a Parameter is a Tensor that adds a name,
+so every op takes one wherever it takes a Tensor; one forward serves training
+and inference. There is one gradient rule: ``backward`` sets ``grad`` to None
+on every tensor its tape reads before it sweeps, and the update that consumes
+a gradient drops it. There is one argument rule: indices, lengths and labels
+pass ``_ints``, integers in a range. There is one output rule: each op
+computes its forward value eagerly on numpy arrays and returns it through
+``_out``, which wraps it in a Tensor and, when a Tape is supplied, records the
+op's backward closure; only ``softmax_cross_entropy`` returns anything beside
+it (its probabilities). ``backward`` replays the tape in reverse and sums each
 tensor's gradient contributions.
 
 The encoder's BiLSTM is one fused op, ``bilstm``, with one hand-written
@@ -83,8 +84,8 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A Tensor with a name. Its ``grad`` is None until ``backward`` reaches it,
-    then held until ``sgd_step`` or ``zero_grad`` drops it. ``value`` is a
+    """A Tensor with a name. Its ``grad`` is None until a ``backward`` sweep reaches it,
+    then held until ``sgd_step``, ``zero_grad`` or the next sweep drops it. ``value`` is a
     read-only name for ``data``; write a new value into the array, not the attribute.
     """
 
@@ -150,9 +151,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep: d(loss)/d(t) into ``t.grad`` for each tensor the tape reaches.
 
-    A tensor's first gradient is stored as is, later ones are added to it.
-    Intermediate gradients are freed as soon as their record has been
-    processed; only the tape's inputs, such as Parameters, keep theirs.
+    Every tensor the tape reads starts the sweep with ``grad`` None, takes its first
+    contribution as is and adds later ones; intermediate gradients are freed once their
+    record is processed, so only the tape's inputs, such as Parameters, keep theirs.
     Gradients are not checked for finiteness here: ``sgd_step`` and
     ``grad_check`` check the ones they use.
     """
@@ -160,6 +161,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")
     if len(tape) == 0:
         raise ShapeMismatch("backward on an empty tape")
+    for _, inputs, _ in tape._records:
+        for t in inputs:
+            t.grad = None
     loss.grad = np.ones_like(loss.data)
     for out, inputs, fn in reversed(tape._records):
         if out.grad is None:
@@ -170,12 +174,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def sgd_step(params: Sequence[Parameter], learning_rate: float) -> None:
-    """value <- value - lr * grad, then drop grad; a parameter without one is left as is."""
+    """value <- value - lr * grad, then drop grad; a parameter without one is left as is.
+    All or nothing: a non-finite gradient raises NonFiniteValue before any value moves."""
+    params = [p for p in params if p.grad is not None]
     for p in params:
-        if p.grad is None:
-            continue
         if not np.isfinite(p.grad).all():
             raise NonFiniteValue(f"non-finite gradient for {p.name}")
+    for p in params:
         p.data -= learning_rate * p.grad
         p.zero_grad()
 
@@ -307,7 +312,7 @@ def _lstm_forward(xp: np.ndarray, active: list[int], w: np.ndarray, b: np.ndarra
         acts += b
     _check_finite(acts, "bilstm")
     cells, tcs, states = (np.empty((len(xp), hidden), dtype=xp.dtype) for _ in range(3))
-    h = c = np.zeros((active[0] if active else 0, hidden), dtype=xp.dtype)
+    h = c = np.zeros((active[0], hidden), dtype=xp.dtype)
     lo = 0
     for n in active:
         hi = lo + n
@@ -439,14 +444,10 @@ def softmax_cross_entropy(
     matrix, both from ``log_softmax``.
     """
     ld = logits.data
-    if ld.ndim != 2:
-        raise ShapeMismatch(f"logits must be 2-D, got {ld.shape}")
+    if ld.ndim != 2 or len(ld) == 0:
+        raise ShapeMismatch(f"logits must be 2-D with at least one row, got {ld.shape}")
     n, c = ld.shape
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ShapeMismatch(f"labels shape {labels.shape} does not match batch {n}")
-    if labels.min() < 0 or labels.max() >= c:
-        raise ShapeMismatch(f"labels must lie in [0, {c})")
+    labels = _ints(labels, 0, c, f"labels, one per row of {ld.shape} logits,", (n,))
     logp, probs = log_softmax(ld)
     loss_val = -logp[np.arange(n), labels].mean()
     out_d = _check_finite(np.asarray(loss_val, dtype=ld.dtype), "softmax_cross_entropy")
@@ -468,7 +469,7 @@ def max_over_time(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> Tensor:
     earliest maximal position, which alone receives the gradient. Each
     length must lie in [1, T]: a max over no position is undefined.
     """
-    lengths = _check_lengths(x.data.shape, lengths, least=1)
+    lengths = _check_lengths(x.data.shape, lengths)
     b, t, k = x.data.shape
     mask = np.arange(t)[None, :] >= lengths[:, None]  # True where padded
     masked = x.data.copy()
@@ -488,9 +489,7 @@ def rows(tape: Tape | None, table: Tensor, indices: np.ndarray) -> Tensor:
     """Embedding lookup: rows of a 2-D (V, d) table by integer indices in [0, V), never a boolean mask."""
     if table.data.ndim != 2:
         raise ShapeMismatch(f"rows needs a 2-D table, got {table.data.shape}")
-    indices = np.asarray(indices)
-    if indices.dtype.kind not in "iu" or np.any((indices < 0) | (indices >= len(table.data))):
-        raise ShapeMismatch(f"rows indices must be integers in [0, {len(table.data)})")
+    indices = _ints(indices, 0, len(table.data), "rows indices")
 
     def back(g):
         gt = np.zeros_like(table.data)
@@ -512,21 +511,22 @@ def reshape(tape: Tape | None, x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _out(tape, x.data.reshape(shape), (x,), lambda g: (g.reshape(orig),))
 
 
-def _check_lengths(shape: tuple[int, ...], lengths, least: int = 0) -> np.ndarray:
-    """``lengths`` as an array; ShapeMismatch unless ``shape`` is a (batch, T, features) input
-    and ``lengths`` holds one length in [least, T] per row."""
-    lengths = np.asarray(lengths)
-    if len(shape) != 3 or lengths.shape != shape[:1] or np.any((lengths < least) | (lengths > shape[1])):
-        raise ShapeMismatch(f"lengths {lengths.tolist()} for a (batch, T, features) input {shape}")
-    return lengths
+def _ints(values, lo: int, hi: int, what: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``values`` as int64; ShapeMismatch unless they are integers of a type int64 holds (so
+    not uint64, nor booleans, which numpy reads as a mask) in [lo, hi), of ``shape`` if given."""
+    values = np.asarray(values)
+    if (values.dtype.kind not in "iu" or not np.can_cast(values.dtype, np.int64)
+            or shape not in (None, values.shape) or np.any((values < lo) | (values >= hi))):
+        raise ShapeMismatch(f"{what} must be integers in [{lo}, {hi}), got {values.dtype} {values.shape}")
+    return values.astype(np.int64, copy=False)
 
 
-def _reversal(shape: tuple[int, ...], lengths) -> tuple[np.ndarray, np.ndarray]:
-    """Index pair reversing each row's first ``lengths[r]`` steps of a (batch, T, features)
-    array of ``shape``, tail in order (an involution)."""
-    lengths = _check_lengths(shape, lengths)
-    ar = np.arange(shape[1])[None, :]
-    return np.arange(shape[0])[:, None], np.where(ar < lengths[:, None], lengths[:, None] - 1 - ar, ar)
+def _check_lengths(shape: tuple[int, ...], lengths) -> np.ndarray:
+    """``lengths`` as int64; ShapeMismatch unless ``shape`` is a (batch, T, features) input
+    with at least one row and ``lengths`` holds one length in [1, T] per row."""
+    if len(shape) != 3 or shape[0] == 0:
+        raise ShapeMismatch(f"lengths need a (batch, T, features) input with a row, got {shape}")
+    return _ints(lengths, 1, shape[1] + 1, f"lengths, one per row of a {shape} input,", shape[:1])
 
 
 def reverse_within(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> Tensor:
@@ -535,7 +535,9 @@ def reverse_within(tape: Tape | None, x: Tensor, lengths: np.ndarray) -> Tensor:
     The index map is an involution, so the backward rule is the same gather
     applied to the incoming gradient.
     """
-    rev = _reversal(x.data.shape, lengths)
+    lengths = _check_lengths(x.data.shape, lengths)[:, None]
+    ar = np.arange(x.data.shape[1])[None, :]
+    rev = np.arange(len(lengths))[:, None], np.where(ar < lengths, lengths - 1 - ar, ar)
     return _out(tape, x.data[rev], (x,), lambda g: (g[rev],))
 
 

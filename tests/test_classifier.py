@@ -164,6 +164,18 @@ def test_train_diverges_with_absurd_learning_rate(tmp_path):
         cl.train(model, data, data, cfg, tmp_path / "m.ckpt")
 
 
+def test_divergence_first_found_by_validation_names_its_epoch(tmp_path):
+    # one batch per epoch: the step runs on the initial weights and succeeds,
+    # then validation meets the overflow that the 1e22 update left behind
+    data = separable_dataset(40, np.random.default_rng(13))
+    vocab_tokens = [f"r{i}" for i in range(8)] + [f"f{i}" for i in range(8)]
+    model = build_model(vocab_tokens, seed=3, dtype=np.float32)
+    cfg = cl.TrainConfig(batch_size=64, epochs=1, learning_rate=1e22, seed=1)
+    with pytest.raises(DivergedTraining) as exc:
+        cl.train(model, data, data, cfg, tmp_path / "m.ckpt")
+    assert str(exc.value).startswith("epoch 1: ")
+
+
 def test_train_is_reproducible(tmp_path):
     rng = np.random.default_rng(17)
     data = separable_dataset(120, rng)
@@ -194,6 +206,7 @@ def test_frozen_embedding_gradient_does_not_carry_into_a_later_run(tmp_path):
     frozen = cl.TrainConfig(batch_size=16, epochs=1, learning_rate=0.2, seed=3, freeze_embeddings=True)
     cl.train(model, data[:48], data[48:], frozen, tmp_path / "frozen.ckpt")
     assert np.array_equal(model.encoder.embedding.value, embedding)
+    assert all(p.grad is None for p in model.all_parameters())
     # the same weights in a model that never trained, then one unfrozen run each
     twin = build_model(vocab_tokens, seed=22)
     for p, q in zip(model.all_parameters(), twin.all_parameters()):

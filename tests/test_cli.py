@@ -209,6 +209,18 @@ def test_metrics_into_a_missing_directory_is_a_data_error(tiny_corpus, tmp_path,
     one_data_error_line(capsys, str(metrics))
 
 
+def test_divergence_found_by_validation_is_one_numerical_error_line(tiny_corpus, tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 3,
+                    "--in", tiny_corpus, "--out", data]) == 0
+    capsys.readouterr()
+    # one batch per epoch, so the first step succeeds and validation overflows
+    assert run_cli(["train", "--data", data, "--valid", data, "--dim", 4, "--hidden", 4,
+                    "--mlp", "4,4", "--epochs", 1, "--batch", 1000, "--lr", 1e22, "--seed", 5,
+                    "--out", tmp_path / "m.ckpt"]) == 4
+    assert capsys.readouterr().err == "numerical-error: epoch 1: non-finite value in output of bilstm\n"
+
+
 def test_checkpoint_with_a_nan_parameter_is_a_data_error(tiny_corpus, tmp_path, capsys):
     corpus = load_corpus(tiny_corpus)
     rng = np.random.default_rng(2)

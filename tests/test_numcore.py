@@ -112,6 +112,15 @@ def test_backward_accumulates_over_multiple_uses():
     np.testing.assert_allclose(p.grad, 1.0 + 2.0 * p.value)
 
 
+def test_a_second_sweep_gives_its_own_gradient_not_the_sum():
+    p = nc.Parameter("p", np.array([1.0, 2.0]))
+    for scale in (3.0, 5.0):  # no update between the sweeps
+        tape = nc.Tape()
+        loss = nc.matmul(tape, nc.reshape(tape, p, (1, 2)), constant(np.full((2, 1), scale)))
+        nc.backward(tape, loss)
+        assert np.array_equal(p.grad, [scale, scale])
+
+
 def test_bias_add_backward_sums_over_batch():
     x = nc.Parameter("x", np.zeros((4, 3)))
     b = nc.Parameter("b", np.array([1.0, 2.0, 3.0]))
@@ -152,6 +161,18 @@ def test_softmax_cross_entropy_uniform_is_log_c():
     loss, probs = nc.softmax_cross_entropy(None, constant(np.zeros((4, 2))), np.array([0, 1, 0, 1]))
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
     np.testing.assert_allclose(probs, 0.5)
+
+
+@pytest.mark.parametrize("logits, labels", [
+    (np.zeros((2, 2)), np.array([0.0, 1.0])),  # float labels
+    (np.zeros((2, 2)), np.array([True, False])),  # boolean labels
+    (np.zeros((2, 2)), np.array([0, 2])),  # a label past the classes
+    (np.zeros((2, 2)), np.array([-1, 0])),
+    (np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),  # an empty batch
+])
+def test_softmax_cross_entropy_rejects_labels_it_cannot_score(logits, labels):
+    with pytest.raises(ShapeMismatch):
+        nc.softmax_cross_entropy(None, constant(logits), labels)
 
 
 def test_softmax_cross_entropy_gradient_matches_probs_minus_onehot():
@@ -266,6 +287,12 @@ def test_bilstm_shape_mismatch():
         (constant(np.zeros((6, 5))), lengths, good, good),  # input not 3-D
         (x, np.array([3, 1, 2]), good, good),  # one length per row
         (x, np.array([4, 1]), good, good),  # a length beyond T
+        (x, np.array([3, 0]), good, good),  # a row of no step
+        (x, np.array([3.0, 1.0]), good, good),  # float lengths
+        (x, np.array([2.5, 1.0]), good, good),  # a fractional length
+        (x, np.array([True, True]), good, good),  # boolean lengths
+        (x, lengths.astype(np.uint64), good, good),  # uint64, which int64 does not hold
+        (constant(np.zeros((0, 3, 5))), np.zeros(0, dtype=np.int64), good, good),  # an empty batch
         (x, lengths, (constant(np.zeros((8, 4))),) + good[1:], good),  # W not (4H, d)
         (x, lengths, good, good[:1] + (constant(np.zeros(12)),) + good[2:]),  # b not (4H,)
         (x, lengths, good, tuple(constant(np.zeros(s)) for s in ((12, 5), (12,), (12, 3)))),  # H differs
@@ -282,11 +309,25 @@ def test_max_over_time_rejects_lengths_it_cannot_pool_over():
         np.array([-1, 3]),  # a negative length
         np.array([5, 3]),  # a length beyond T
         np.array([3, 1, 2]),  # one length per row
+        np.array([3.0, 1.0]),  # float lengths
+        np.array([2.5, 3.0]),  # a fractional length
+        np.array([True, True]),  # boolean lengths
+        np.array([3, 1], dtype=np.uint64),  # uint64, which int64 does not hold
     ]:
         with pytest.raises(ShapeMismatch):
             nc.max_over_time(None, x, bad_lengths)
     with pytest.raises(ShapeMismatch):  # not (batch, T, features)
         nc.max_over_time(None, constant(np.zeros((2, 3))), np.array([1, 2]))
+    with pytest.raises(ShapeMismatch):  # an empty batch
+        nc.max_over_time(None, constant(np.zeros((0, 3, 4))), np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", ["bilstm", "max_over_time", "reverse_within"])
+def test_int32_lengths_give_the_bits_of_int64_lengths(name):
+    args = op_cases()[name]
+    assert args[1].dtype == np.int64
+    as_int32 = (args[0], args[1].astype(np.int32), *args[2:])
+    assert np.array_equal(getattr(nc, name)(None, *as_int32).data, getattr(nc, name)(None, *args).data)
 
 
 def op_cases():
@@ -357,6 +398,7 @@ def test_narrow_and_pick_count_a_negative_axis_from_the_end(name, args, axis):
     ("pick", (1, -1)),
     ("reverse_within", (np.array([6, 1, 2]),)),  # a length past the time axis
     ("reverse_within", (np.array([-1, 1, 2]),)),
+    ("reverse_within", (np.array([0, 1, 2]),)),  # a row of no step
     ("reverse_within", (np.array([5, 1]),)),  # one length per row
 ])
 def test_indexing_ops_reject_positions_outside_their_input(name, args):
@@ -448,6 +490,14 @@ def test_sgd_step_rejects_non_finite_gradient():
     p.grad = np.array([np.inf])
     with pytest.raises(NonFiniteValue):
         nc.sgd_step([p], 0.1)
+
+
+def test_sgd_step_moves_no_value_when_a_later_gradient_is_non_finite():
+    a, b = nc.Parameter("a", np.array([1.0])), nc.Parameter("b", np.array([1.0]))
+    a.grad, b.grad = np.array([1.0]), np.array([np.inf])
+    with pytest.raises(NonFiniteValue, match="gradient for b"):
+        nc.sgd_step([a, b], 0.1)
+    assert a.value[0] == 1.0 and b.value[0] == 1.0
 
 
 def test_sgd_step_leaves_a_parameter_without_a_gradient_unchanged():
