@@ -33,7 +33,7 @@ from typing import BinaryIO
 import numpy as np
 
 from . import numcore as nc
-from .corpus import PAD, UNK, Vocabulary
+from .corpus import Vocabulary
 from .errors import CheckpointFormatError
 
 MAGIC = b"FSENTCK1"
@@ -171,12 +171,9 @@ def load_model(path):
         header = _read_header(f, path)
         (vcount,) = struct.unpack("<I", _read_exact(f, 4))
         tokens = [_read_str(f) for _ in range(vcount)]
-        if len(tokens) < 2 or tokens[0] != PAD or tokens[1] != UNK:
-            raise CheckpointFormatError(f"{path}: reserved vocabulary rows missing")
-        try:
-            vocab = Vocabulary(tokens[2:])
-        except ValueError as e:  # a repeated token
-            raise CheckpointFormatError(f"{path}: {e}") from None
+        vocab = Vocabulary(tokens)
+        if vocab.tokens != tuple(tokens):  # reserved rows missing or moved, or a token repeated
+            raise CheckpointFormatError(f"{path}: vocabulary is not the reserved rows then distinct words")
         (pcount,) = struct.unpack("<I", _read_exact(f, 4))
         params = {p.name: p for p in (_read_param(f) for _ in range(pcount))}
         if len(params) < pcount:

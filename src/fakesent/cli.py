@@ -77,6 +77,8 @@ def _checked(parse, ok, expected: str):
 _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _RATE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_F32_MAX = float(np.finfo(np.float32).max)  # the largest scale whose table is finite in either precision
+_EMB_SCALE = _checked(float, lambda v: 0 < v <= _F32_MAX, f"a number in (0, {_F32_MAX!r}]")
 
 REQUIRED = object()  # the default of a key the command cannot run without
 
@@ -95,7 +97,7 @@ SCHEMAS = {
         "valid": (str, REQUIRED),
         "embeddings": (str, None),
         "dim": (_COUNT, 300),
-        "emb_scale": (_RATE, 1.0),
+        "emb_scale": (_EMB_SCALE, 1.0),
         "min_count": (_COUNT, 1),
         "hidden": (_COUNT, 2048),
         "mlp": (_checked(lambda t: tuple(map(int, t.split(","))), lambda v: len(v) == 2 and min(v) >= 1,
@@ -386,7 +388,3 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical-error: {e}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

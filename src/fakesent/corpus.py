@@ -26,6 +26,7 @@ PAD = "<pad>"
 UNK = "<unk>"
 PAD_INDEX = 0
 UNK_INDEX = 1
+RESERVED = (PAD, UNK)  # the first rows of every vocabulary, in index order
 
 
 @dataclass(frozen=True)
@@ -52,23 +53,18 @@ def tokenize(line: str, id: str = "") -> Sentence:
 
 
 class Vocabulary:
-    """Bijection between tokens and indices with PAD=0 and UNK=1 reserved.
+    """Bijection between tokens and indices: the RESERVED rows (PAD=0, UNK=1),
+    then each token of ``tokens_in_order`` at its first occurrence.
 
-    Unknown tokens map to UNK on lookup. Index assignment is deterministic:
-    descending frequency, ties broken lexicographically.
+    A repeated token adds no row, a reserved token keeps its reserved row, and
+    ``Vocabulary(v.tokens)`` rebuilds ``v``. Unknown tokens map to UNK on lookup.
     """
 
     def __init__(self, tokens_in_order: Iterable[str]):
-        self._index = {PAD: PAD_INDEX, UNK: UNK_INDEX}
-        self._tokens = [PAD, UNK]
-        for tok in tokens_in_order:
-            if tok in self._index:
-                raise ValueError(f"duplicate token {tok!r}")
-            self._index[tok] = len(self._tokens)
-            self._tokens.append(tok)
+        self._index = {t: i for i, t in enumerate(dict.fromkeys((*RESERVED, *tokens_in_order)))}
 
     def __len__(self) -> int:
-        return len(self._tokens)
+        return len(self._index)
 
     def __contains__(self, token: str) -> bool:
         return token in self._index
@@ -76,12 +72,9 @@ class Vocabulary:
     def index(self, token: str) -> int:
         return self._index.get(token, UNK_INDEX)
 
-    def token(self, index: int) -> str:
-        return self._tokens[index]
-
     @property
     def tokens(self) -> tuple[str, ...]:
-        return tuple(self._tokens)
+        return tuple(self._index)
 
     def indices(self, tokens: Iterable[str]) -> list[int]:
         get = self._index.get
@@ -89,7 +82,12 @@ class Vocabulary:
 
 
 def build_vocab(corpus: Iterable[Sentence], min_count: int = 1) -> Vocabulary:
-    """Count token frequencies and keep everything occurring >= min_count."""
+    """Count token frequencies and keep everything occurring >= min_count.
+
+    Kept words take rows after the reserved ones in descending frequency,
+    ties broken lexicographically; a literal PAD or UNK in the corpus keeps
+    its reserved row (see Vocabulary).
+    """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     counts: Counter[str] = Counter()

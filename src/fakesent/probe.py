@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import numcore as nc
-from .corpus import Sentence, Vocabulary
+from .corpus import RESERVED, Sentence, Vocabulary
 from .errors import DegenerateBins, InsufficientExamples, MalformedLine
 from .fakegen import swap_positions
 
@@ -97,11 +97,7 @@ def _split(pairs: Iterable[tuple[Sentence, int]], seed: int):
 def sextile_thresholds(lengths: Sequence[int]) -> list[int]:
     """Five empirical sextile cut points giving six length bins."""
     ordered = sorted(lengths)
-    n = len(ordered)
-    cuts = []
-    for k in range(1, 6):
-        cuts.append(int(ordered[min(n - 1, (k * n) // 6)]))
-    return cuts
+    return [int(ordered[k * len(ordered) // 6]) for k in range(1, 6)]
 
 
 def gen_sentlen(sentences: Sequence[Sentence], seed: int = 0) -> ProbeDataset:
@@ -126,11 +122,11 @@ def default_wc_targets(vocab: Vocabulary) -> list[str]:
     """The WC_TARGETS mid-frequency target words: vocabulary ranks 100..109
     when available, otherwise a centered window (stopwords and hapaxes are
     both poor probes)."""
-    n_tokens = len(vocab) - 2
-    if n_tokens < WC_TARGETS:
-        raise InsufficientExamples(f"vocabulary has only {n_tokens} tokens, need {WC_TARGETS}")
-    start = 100 if n_tokens >= 100 + WC_TARGETS else (n_tokens - WC_TARGETS) // 2
-    return [vocab.token(2 + start + i) for i in range(WC_TARGETS)]
+    words = vocab.tokens[len(RESERVED):]
+    if len(words) < WC_TARGETS:
+        raise InsufficientExamples(f"vocabulary has only {len(words)} tokens, need {WC_TARGETS}")
+    start = 100 if len(words) >= 100 + WC_TARGETS else (len(words) - WC_TARGETS) // 2
+    return list(words[start : start + WC_TARGETS])
 
 
 def gen_wc(sentences: Sequence[Sentence], vocab: Vocabulary, seed: int = 0) -> ProbeDataset:
@@ -298,16 +294,13 @@ def run_probes(
     """
     if not tasks:
         raise ValueError("no probing task requested")
+    # built per call: perfbench/tracing.py replaces the gen_* functions after import
+    generators = {SENTLEN: gen_sentlen, WC: lambda s, seed: gen_wc(s, encoder.vocab, seed), BSHIFT: gen_bshift}
     datasets = {}
     for task in tasks:
-        if task == SENTLEN:
-            datasets[task] = gen_sentlen(sentences, seed=seed)
-        elif task == WC:
-            datasets[task] = gen_wc(sentences, vocab=encoder.vocab, seed=seed)
-        elif task == BSHIFT:
-            datasets[task] = gen_bshift(sentences, seed=seed)
-        else:
+        if task not in generators:
             raise ValueError(f"unknown probing task {task!r}")
+        datasets[task] = generators[task](sentences, seed=seed)
     by_id: dict[str, Sentence] = {}
     for s in (s for dataset in datasets.values() for s in dataset.sentences()):
         if by_id.setdefault(s.id, s).tokens != s.tokens:

@@ -412,12 +412,14 @@ def swap_names(raw, a, b):
         lambda raw: with_f8_param(raw, b"fwd.u", (8, 2)),
         lambda raw: with_param_count(raw, 14) + raw[raw.rindex(b"\x07\x00head.b3") :],
         lambda raw: raw + b"\x00",
+        lambda raw: swap_names(raw, b"<pad>", b"<unk>"),
+        lambda raw: raw.replace(b"\x01\x00c", b"\x05\x00<unk>", 1),
     ],
     ids=["header-not-utf8", "token-not-utf8", "header-not-object", "header-mlp-short",
          "header-no-H", "header-float-d", "header-overruns", "param-overruns", "param-empty-overflows",
          "repeated-token", "param-missing", "param-unexpected", "param-misshapen", "header-V-not-vocab",
          "header-precision-float16", "param-not-header-precision", "param-repeated",
-         "bytes-after-params"],
+         "bytes-after-params", "reserved-rows-swapped", "word-renamed-unk"],
 )
 def test_checkpoint_corruption_is_a_format_error(small_checkpoint, tmp_path, corrupt):
     raw = corrupt(small_checkpoint)

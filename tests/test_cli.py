@@ -12,7 +12,7 @@ import fakesent
 from fakesent import __version__
 from fakesent import cli
 from fakesent import numcore as nc
-from fakesent.checkpoint import MAGIC, save_model
+from fakesent.checkpoint import MAGIC, load_model, save_model
 from fakesent.classifier import DetectorModel
 from fakesent.corpus import build_vocab, init_embeddings, load_corpus
 from fakesent.encoder import SentenceEncoder
@@ -46,10 +46,11 @@ def test_defaults_match_documented_values():
 
 def test_flag_beats_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("lr=0.05\nepochs=3\n")
+    cfg.write_text("lr=0.05\nepochs=3\nfreeze_embeddings=yes\n")
     resolved = cli.resolve_config("train", cfg, {"lr": 0.2})
     assert resolved["lr"] == 0.2  # flag wins
     assert resolved["epochs"] == 3  # file beats default
+    assert resolved["freeze_embeddings"] is True
 
 
 def test_config_file_unknown_key_rejected(tmp_path):
@@ -142,6 +143,8 @@ def test_train_on_a_record_with_a_bad_label_is_a_data_error(tiny_corpus, tmp_pat
         ["train", "--precision", "float16"],
         ["train", "--hidden", "0"],
         ["train", "--dim", "0"],
+        ["train", "--emb-scale", "1e308"],  # numpy cannot draw the table
+        ["train", "--emb-scale", "1e39"],  # the float32 table would be infinite
         ["gen-fakes", "--fakes-per-real", "0"],
         ["probe", "--l2-grid", "0"],
         ["probe", "--l2-grid", "1e-3,"],
@@ -161,12 +164,24 @@ def test_out_of_range_flag_is_one_usage_error_line(argv, capsys):
     assert err.count("\n") == 1
 
 
-def test_out_of_range_config_value_is_one_usage_error_line(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("hidden=0\n")
-    assert run_cli(["train", "--config", cfg]) == 2
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("train", "hidden=0\n", "config key hidden:"),
+        ("train", "freeze_embeddings=maybe\n", "config key freeze_embeddings:"),
+        ("gradcheck", "min_len=5\nmax_len=4\n", "--max-len 4 is below --min-len 5"),
+        ("train", None, "cannot read config"),  # --config names a directory
+    ],
+    ids=["hidden-0", "freeze-embeddings-maybe", "max-len-below-min-len", "config-is-a-directory"],
+)
+def test_out_of_range_config_value_is_one_usage_error_line(tmp_path, capsys, command, text, message):
+    cfg = tmp_path
+    if text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+    assert run_cli([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage-error: config key hidden:")
+    assert err.startswith(f"usage-error: {message}")
     assert err.count("\n") == 1
 
 
@@ -219,6 +234,26 @@ def test_divergence_found_by_validation_is_one_numerical_error_line(tiny_corpus,
                     "--mlp", "4,4", "--epochs", 1, "--batch", 1000, "--lr", 1e22, "--seed", 5,
                     "--out", tmp_path / "m.ckpt"]) == 4
     assert capsys.readouterr().err == "numerical-error: epoch 1: non-finite value in output of bilstm\n"
+
+
+def test_corpus_with_literal_reserved_tokens_trains_and_encodes(tiny_corpus, tmp_path, capsys):
+    # preprocessed corpora (Penn Treebank, WikiText) write rare words as a literal <unk>
+    lines = tiny_corpus.read_text().splitlines()
+    for i in range(0, len(lines), 4):
+        lines[i] += " <unk>"
+    for i in range(2, len(lines), 8):
+        lines[i] = "<PAD> " + lines[i]
+    corpus = tmp_path / "reserved.txt"
+    corpus.write_text("\n".join(lines) + "\n")
+    data, model = tmp_path / "data.jsonl", tmp_path / "m.ckpt"
+    assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 3, "--in", corpus, "--out", data]) == 0
+    assert run_cli(["train", "--data", data, "--valid", data, "--dim", 4, "--hidden", 4,
+                    "--mlp", "4,4", "--epochs", 1, "--seed", 5, "--out", model]) == 0
+    assert run_cli(["encode", "--model", model, "--in", corpus, "--out", tmp_path / "v.txt"]) == 0
+    assert capsys.readouterr().err == ""
+    vocab = load_model(model).encoder.vocab
+    assert vocab.tokens[:2] == ("<pad>", "<unk>") and len(vocab) == 32  # w00..w29 and the reserved rows
+    assert vocab.index("<unk>") == 1 and vocab.index("<pad>") == 0
 
 
 def test_checkpoint_with_a_nan_parameter_is_a_data_error(tiny_corpus, tmp_path, capsys):

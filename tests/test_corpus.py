@@ -104,6 +104,21 @@ def test_unknown_token_maps_to_unk():
     vocab = cp.build_vocab(sentences([["a"]]))
     assert vocab.index("zzz") == cp.UNK_INDEX
     assert vocab.indices(["a", "zzz"]) == [2, cp.UNK_INDEX]
+    # a corpus that writes rare words as a literal <unk> (Penn Treebank, WikiText)
+    vocab = cp.build_vocab(sentences([[cp.UNK, "a", cp.UNK], [cp.PAD, "a"]]))
+    assert vocab.tokens == (cp.PAD, cp.UNK, "a")
+
+
+@given(st.lists(st.sampled_from(["a", "b", "c", cp.PAD, cp.UNK]) | st.text(min_size=1, max_size=3), max_size=20))
+def test_vocabulary_is_reserved_rows_then_each_word_once_in_first_seen_order(words):
+    vocab = cp.Vocabulary(words)
+    expected = list(cp.RESERVED)
+    for w in words:
+        if w not in expected:
+            expected.append(w)
+    assert vocab.tokens == tuple(expected)
+    assert [vocab.index(t) for t in vocab.tokens] == list(range(len(vocab)))
+    assert cp.Vocabulary(vocab.tokens).tokens == vocab.tokens
 
 
 def test_load_embeddings_copies_present_rows(tmp_path):

@@ -29,7 +29,7 @@ def make_encoder(n_tokens=20, dim=4, hidden=4, seed=0, dtype=np.float64):
 
 
 def rand_sentence(rng, vocab, n):
-    toks = tuple(vocab.token(int(i)) for i in rng.integers(2, len(vocab), size=n))
+    toks = tuple(vocab.tokens[int(i)] for i in rng.integers(2, len(vocab), size=n))
     return Sentence(toks, f"s{rng.integers(1 << 30)}")
 
 

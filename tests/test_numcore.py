@@ -81,10 +81,13 @@ def test_matmul_shape_mismatch():
 
 def test_backward_of_linear_sum():
     p = nc.Parameter("p", np.array([1.0, 5.0, -2.0]))
+    q = nc.Parameter("q", np.array([4.0]))
     tape = nc.Tape()
+    nc.mul(tape, q, q)  # taped, but the loss never reads it: backward skips the record
     loss = scalar_sum(tape, p)
     nc.backward(tape, loss)
     assert np.array_equal(p.grad, [1.0, 1.0, 1.0])
+    assert q.grad is None
 
 
 def test_backward_of_quadratic():

@@ -53,6 +53,8 @@ PETS = Vocabulary(["cat", "dog"] + [f"pet{k}" for k in range(2, 10)])
 
 def test_wc_membership_and_exclusion():
     assert pb.default_wc_targets(PETS) == list(PETS.tokens[2:])
+    with pytest.raises(InsufficientExamples, match="only 9 tokens"):
+        pb.default_wc_targets(Vocabulary(PETS.tokens[:-1]))
     corpus = [
         sent(["the", "cat", "sat"], "0"),
         sent(["a", "dog", "ran"], "1"),
@@ -65,7 +67,7 @@ def test_wc_membership_and_exclusion():
     rows = [(s, label) for split in (ds.train, ds.valid, ds.test) for s, label in split]
     assert all(("cat" in s.tokens) == (label == 0) for s, label in rows)
     assert all(("dog" in s.tokens) == (label == 1) for s, label in rows)
-    assert all(s.tokens[0] == PETS.token(2 + label) for s, label in rows if label >= 2)
+    assert all(s.tokens[0] == PETS.tokens[2 + label] for s, label in rows if label >= 2)
     # counting oracle over the corpus
     expected = sum(1 for s in corpus if len(set(s.tokens) & set(PETS.tokens[2:])) == 1)
     assert len(rows) == expected
@@ -88,7 +90,7 @@ def test_wc_default_targets_are_mid_frequency():
             n += 1
     vocab = build_vocab(corpus)
     targets = pb.default_wc_targets(vocab)
-    assert targets == [vocab.token(i) for i in range(102, 112)]
+    assert targets == list(vocab.tokens[102:112])
     # "filler" is the most frequent token (rank 0), so rank 100 is w099
     assert targets[0] == "w099"
 
@@ -249,6 +251,14 @@ def test_probe_missing_encoding_raises():
         pb.train_probe(dataset, encodings)
 
 
+def test_probe_dataset_rejects_labels_it_cannot_train():
+    rows = [(sent(["a"], str(i)), i % 2) for i in range(4)]
+    with pytest.raises(ValueError, match="label 2 outside"):
+        pb.ProbeDataset("t", 2, rows, [(sent(["b"], "v"), 2)], [])
+    with pytest.raises(InsufficientExamples, match=r"classes \[2\] absent from train split"):
+        pb.ProbeDataset("t", 3, rows, [(sent(["b"], "v"), 2)], [])
+
+
 def test_config_rejects_bad_grid():
     with pytest.raises(ValueError):
         pb.ProbeConfig(l2_grid=())
@@ -316,6 +326,8 @@ def test_run_probes_rejects_an_empty_task_list():
     encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 4, rng), 4, rng)
     with pytest.raises(ValueError, match="no probing task"):
         pb.run_probes(encoder, corpus, tasks=())
+    with pytest.raises(ValueError, match="unknown probing task 'nope'"):
+        pb.run_probes(encoder, corpus, tasks=("sentlen", "nope"))
 
 
 def test_every_generator_rejects_an_empty_sentence_list():
