@@ -5,7 +5,9 @@ the heavyweight training fixture is shared by the criteria that need a
 trained model.
 """
 
+import contextlib
 import hashlib
+import io
 import math
 import time
 from collections import Counter
@@ -17,6 +19,7 @@ from acceptance_report import report
 
 from fakesent import checkpoint as ckpt
 from fakesent import classifier as cl
+from fakesent import cli
 from fakesent import fakegen as fg
 from fakesent import numcore as nc
 from fakesent import probe as pb
@@ -29,9 +32,7 @@ SEED = 100
 
 def build_sep_model(vocab, emb_scale, mlp, seed):
     rng = np.random.default_rng(seed)
-    matrix = rng.uniform(-emb_scale, emb_scale, size=(len(vocab), 16)).astype(np.float32)
-    matrix[0] = 0.0
-    encoder = SentenceEncoder.create(vocab, matrix, 32, rng)
+    encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 16, rng, scale=emb_scale), 32, rng)
     return cl.DetectorModel.create(encoder, *mlp, rng)
 
 
@@ -74,26 +75,10 @@ def sep1(tmp_path_factory):
 
 def test_grad1_full_composition_gradient():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(1)
-    tokens = [f"t{i:03d}" for i in range(50)]
-    vocab = build_vocab([Sentence(tuple(tokens), "v")])
-    table = init_embeddings(vocab, 8, rng, dtype=np.float64)
-    encoder = SentenceEncoder.create(vocab, table, 8, rng)
-    model = cl.DetectorModel.create(encoder, 16, 8, rng)
-    sentences = []
-    for i in range(4):
-        n = int(rng.integers(2, 7))
-        toks = tuple(tokens[int(k)] for k in rng.integers(0, 50, size=n))
-        sentences.append(Sentence(toks, str(i)))
-    idx, lengths = encoder.prepare_batch(sentences)
-    labels = rng.integers(0, 2, size=4)
-
-    def loss_fn(tape):
-        loss, _ = model.batch_loss(tape, idx, lengths, labels)
-        return loss
-
-    err = nc.grad_check(loss_fn, model.all_parameters(), eps=1e-5, samples=200,
-                        rng=np.random.default_rng(1))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli.main(["gradcheck"])  # "max relative error <err>", exit 4 when err >= 1e-4
+    err = float(stdout.getvalue().split()[-1])
     elapsed = time.perf_counter() - t0
     report("GRAD-1", err < 1e-4 and elapsed < 60,
            f"(max rel err {err:.3e}, {elapsed:.1f}s)")

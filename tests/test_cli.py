@@ -152,6 +152,8 @@ def test_train_on_a_record_with_a_bad_label_is_a_data_error(tiny_corpus, tmp_pat
         ["probe", "--tasks", "nope"],
         ["probe", "--tasks", ","],
         ["probe", "--tasks", ""],
+        ["probe", "--report", ""],
+        ["train", "--metrics", ""],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -169,10 +171,10 @@ def test_out_of_range_flag_is_one_usage_error_line(argv, capsys):
     [
         ("train", "hidden=0\n", "config key hidden:"),
         ("train", "freeze_embeddings=maybe\n", "config key freeze_embeddings:"),
-        ("gradcheck", "min_len=5\nmax_len=4\n", "--max-len 4 is below --min-len 5"),
+        ("probe", "report=\n", "config key report: expected a non-empty path"),
         ("train", None, "cannot read config"),  # --config names a directory
     ],
-    ids=["hidden-0", "freeze-embeddings-maybe", "max-len-below-min-len", "config-is-a-directory"],
+    ids=["hidden-0", "freeze-embeddings-maybe", "empty-report", "config-is-a-directory"],
 )
 def test_out_of_range_config_value_is_one_usage_error_line(tmp_path, capsys, command, text, message):
     cfg = tmp_path
@@ -183,6 +185,44 @@ def test_out_of_range_config_value_is_one_usage_error_line(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith(f"usage-error: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["gradcheck", "--h", "8"], ["train", "--hid", "8"]], ids=" ".join)
+def test_abbreviated_flag_is_one_usage_error_line(argv, capsys):
+    # a unique prefix is not a second spelling: "--h" would otherwise match --help
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"usage-error: fakesent: unrecognized arguments: {argv[1]} 8\n"
+
+
+@pytest.mark.parametrize(
+    "metrics, clash",
+    [("m.ckpt", "--out and --metrics"), ("data.jsonl", "--metrics and --data"),
+     ("m.ckpt.config", "--metrics and the config of --out")],
+    ids=["out", "data", "out-config"],
+)
+def test_train_metrics_on_another_file_of_the_run_is_one_usage_error_line(
+        tiny_corpus, tmp_path, capsys, metrics, clash):
+    data = tmp_path / "data.jsonl"
+    assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 3,
+                    "--in", tiny_corpus, "--out", data]) == 0
+    dataset = data.read_bytes()
+    capsys.readouterr()
+    assert run_cli(["train", "--data", data, "--valid", data, "--dim", 4, "--hidden", 4,
+                    "--mlp", "4,4", "--epochs", 1, "--seed", 5, "--out", tmp_path / "m.ckpt",
+                    "--metrics", tmp_path / metrics]) == 2
+    assert capsys.readouterr().err == f"usage-error: {clash} are the same file: {tmp_path / metrics}\n"
+    assert data.read_bytes() == dataset
+    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "m.ckpt.config").exists()
+
+
+def test_gen_fakes_out_on_its_input_is_one_usage_error_line(tiny_corpus, capsys):
+    corpus = tiny_corpus.read_bytes()
+    assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 3,
+                    "--in", tiny_corpus, "--out", tiny_corpus]) == 2
+    assert capsys.readouterr().err == f"usage-error: --out and --in are the same file: {tiny_corpus}\n"
+    assert tiny_corpus.read_bytes() == corpus
 
 
 def one_data_error_line(capsys, *fragments):
@@ -304,21 +344,22 @@ def test_empty_probe_split_is_a_data_error(tmp_path, capsys, seed, split):
 
 
 def test_gradcheck_passes_and_prints_error(capsys):
-    rc = run_cli(["gradcheck", "--h", 4, "--d", 4, "--vocab", 12,
-                  "--samples", 40, "--seed", 1])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "max relative error" in out
-    err_value = float(out.strip().split()[-1])
-    assert err_value < 1e-4
+    assert run_cli(["gradcheck"]) == 0
+    assert capsys.readouterr().out == "max relative error 1.130274e-06\n"
 
 
-def test_gradcheck_fail_path(capsys):
-    # absurd threshold forces the failure exit code
-    rc = run_cli(["gradcheck", "--h", 4, "--d", 4, "--vocab", 12,
-                  "--samples", 10, "--seed", 1, "--threshold", 1e-30])
-    assert rc == 4
-    assert "numerical-error" in capsys.readouterr().err
+def test_gradcheck_fail_path(monkeypatch, capsys):
+    real_tanh = nc.tanh
+
+    def doubled_tanh(tape, x):  # the head's activation, with a backward twice too strong
+        out = real_tanh(None, x)
+        if tape is not None:
+            tape.record(out, (x,), lambda g: (2.0 * g * (1.0 - out.data * out.data),))
+        return out
+
+    monkeypatch.setattr(nc, "tanh", doubled_tanh)
+    assert run_cli(["gradcheck"]) == 4
+    assert capsys.readouterr().err == "numerical-error: gradient check failed at threshold 0.0001\n"
 
 
 def test_full_pipeline_smoke(tiny_corpus, tmp_path, capsys):
