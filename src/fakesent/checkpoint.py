@@ -33,7 +33,7 @@ from typing import BinaryIO
 import numpy as np
 
 from . import numcore as nc
-from .corpus import Vocabulary
+from .corpus import MAX_TOKEN_BYTES, Vocabulary
 from .errors import CheckpointFormatError
 
 MAGIC = b"FSENTCK1"
@@ -44,7 +44,7 @@ _DTYPES = {"f4": np.dtype("<f4"), "f8": np.dtype("<f8")}
 
 def _write_str(f: BinaryIO, s: str) -> None:
     raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
+    if len(raw) > MAX_TOKEN_BYTES:
         raise CheckpointFormatError(f"string too long ({len(raw)} bytes)")
     f.write(struct.pack("<H", len(raw)))
     f.write(raw)

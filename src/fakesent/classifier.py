@@ -3,10 +3,11 @@
 The head is a two-hidden-layer MLP with tanh activations and a 2-way softmax
 output; class 1 is REAL, class 0 is FAKE. Training shuffles the train split
 each epoch with a seeded generator, runs minibatch SGD on the fused softmax
-cross-entropy, validates after every epoch, halves the learning rate
-whenever validation accuracy fails to improve, and keeps the checkpoint of
-the best epoch (ties resolve to the earliest). A non-finite value in an
-epoch's steps or validation raises DivergedTraining, naming the epoch.
+cross-entropy, validates after every epoch, halves the learning rate whenever
+validation accuracy fails to improve, and keeps the checkpoint of the best
+epoch (ties resolve to the earliest). A non-finite value in an epoch's steps or
+validation raises DivergedTraining, naming the epoch. A frozen table is in
+each step's ``Tape(frozen)``: its gather is not taped, so it takes no gradient.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ def train(
     train_labels = np.array([ex.label for ex in train_data], dtype=np.int64)
     if len(set(train_labels.tolist())) < 2:
         raise SingleClassData("train split contains a single class")
-    frozen = model.encoder.embedding if cfg.freeze_embeddings else None
-    params = [p for p in model.all_parameters() if p is not frozen]
+    frozen = (model.encoder.embedding,) if cfg.freeze_embeddings else ()
+    params = [p for p in model.all_parameters() if p not in frozen]
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
     report = TrainReport()
@@ -185,11 +186,10 @@ def train(
                     batch_ids = order[start : start + cfg.batch_size]
                     idx, lengths = model.encoder.prepare_batch([train_data[i].sentence for i in batch_ids])
                     labels = train_labels[batch_ids]
-                    tape = nc.Tape()
+                    tape = nc.Tape(frozen)
                     loss, probs = model.batch_loss(tape, idx, lengths, labels)
                     nc.backward(tape, loss)
                     nc.sgd_step(params, lr)
-                    model.encoder.embedding.zero_grad()  # a frozen table's gradient, which sgd_step skips
                     loss_sum += loss.data.item() * len(batch_ids)
                     correct += int(((probs[:, REAL] >= 0.5).astype(np.int64) == labels).sum())
                 valid_acc = evaluate(model, valid_data, cfg.batch_size).accuracy

@@ -218,11 +218,15 @@ def _check_files(cfg) -> None:
             if cfg.get(key)}
     writer = {}
     for name, path in [*written.items(), *read.items()]:
-        real = os.path.realpath(path)
-        if real in writer:
-            raise ConfigParseError(f"{writer[real]} and {name} are the same file: {path}")
+        try:  # an existing file is known by its inode, which its hard links share
+            st = os.stat(path)
+            key = (st.st_dev, st.st_ino)
+        except OSError:
+            key = os.path.realpath(path)
+        if key in writer:
+            raise ConfigParseError(f"{writer[key]} and {name} are the same file: {path}")
         if name in written:
-            writer[real] = name
+            writer[key] = name
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ UNK = "<unk>"
 PAD_INDEX = 0
 UNK_INDEX = 1
 RESERVED = (PAD, UNK)  # the first rows of every vocabulary, in index order
+MAX_TOKEN_BYTES = 0xFFFF  # a checkpoint stores each token's UTF-8 length as a uint16
 
 
 @dataclass(frozen=True)

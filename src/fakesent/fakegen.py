@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import Sentence, text_lines
+from .corpus import MAX_TOKEN_BYTES, Sentence, text_lines
 from .errors import EmptyDataset, EmptySentence, MalformedLine, NoDistinctPair, TooShort
 
 REAL = 1
@@ -191,6 +191,10 @@ def example_from_json(line: str) -> LabeledExample:
             sent = Sentence(tuple(tokens), obj["id"])
         except AttributeError:  # Sentence splits every token, and only a str has split()
             raise ValueError("tokens must be a list of strings") from None
+        if len(line) > MAX_TOKEN_BYTES // 4:  # a token has at most its line's characters, each of at most 4 UTF-8 bytes
+            size = max(len(t.encode("utf-8")) for t in tokens)
+            if size > MAX_TOKEN_BYTES:
+                raise ValueError(f"a token of {size} UTF-8 bytes, over the {MAX_TOKEN_BYTES} a checkpoint stores")
         record = _record_from_json(obj, len(tokens)) if "strategy" in obj else None
         source_id = obj["source_id"]
         if not (isinstance(sent.id, str) and isinstance(source_id, str)):

@@ -7,11 +7,11 @@ and inference. There is one gradient rule: ``backward`` sets ``grad`` to None
 on every tensor its tape reads before it sweeps, and the update that consumes
 a gradient drops it. There is one argument rule: indices, lengths and labels
 pass ``_ints``, integers in a range. There is one output rule: each op
-computes its forward value eagerly on numpy arrays and returns it through
-``_out``, which wraps it in a Tensor and, when a Tape is supplied, records the
-op's backward closure; only ``softmax_cross_entropy`` returns anything beside
-it (its probabilities). ``backward`` replays the tape in reverse and sums each
-tensor's gradient contributions.
+computes its value eagerly and returns it through ``_out``, which wraps it in
+a Tensor and, on a Tape, records the op's backward closure unless every input
+is one of the tape's ``frozen`` tensors, such as a fixed embedding table; only
+``softmax_cross_entropy`` returns anything beside it (its probabilities).
+``backward`` replays the tape in reverse, summing each tensor's gradients.
 
 The encoder's BiLSTM is one fused op, ``bilstm``, with one hand-written
 backpropagation-through-time rule, so a training step's tape length does not
@@ -117,10 +117,11 @@ class Tape:
     each tensor's consumers before the tensor itself.
     """
 
-    __slots__ = ("_records",)
+    __slots__ = ("_records", "frozen")
 
-    def __init__(self):
+    def __init__(self, frozen: Sequence[Tensor] = ()):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], BackwardFn]] = []
+        self.frozen = tuple(frozen)
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], fn: BackwardFn) -> None:
         self._records.append((out, inputs, fn))
@@ -130,9 +131,9 @@ class Tape:
 
 
 def _out(tape: Tape | None, data: np.ndarray, inputs: tuple[Tensor, ...], back: BackwardFn) -> Tensor:
-    """An op's output: ``data`` as a Tensor, recorded with its backward rule when taped."""
+    """An op's output: ``data`` as a Tensor, taped with its backward rule unless every input is frozen."""
     out = Tensor(data)
-    if tape is not None:
+    if tape is not None and any(t not in tape.frozen for t in inputs):
         tape.record(out, inputs, back)
     return out
 
@@ -153,9 +154,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     Every tensor the tape reads starts the sweep with ``grad`` None, takes its first
     contribution as is and adds later ones; intermediate gradients are freed once their
-    record is processed, so only the tape's inputs, such as Parameters, keep theirs.
-    Gradients are not checked for finiteness here: ``sgd_step`` and
-    ``grad_check`` check the ones they use.
+    record is processed, so only tensors no record outputs keep theirs: Parameters, and
+    an untaped op's output, such as a gather from a frozen table. Gradients are not
+    checked for finiteness here: ``sgd_step`` and ``grad_check`` check the ones they use.
     """
     if loss.data.size != 1:
         raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")

@@ -28,6 +28,10 @@ from fakesent.encoder import SentenceEncoder
 from synthetic import ascending_corpus, constant, dp_edit_distance, split_by_source
 
 SEED = 100
+# each trained criterion's settings and gate; tests/claims_sweep.py reruns them across seeds
+SEP1 = dict(strategy=fg.WORD_SHUFFLE, epochs=15, lr_decay=0.5, emb_scale=2.0, mlp=(32, 16))
+SEP2 = dict(strategy=fg.WORD_DROP, epochs=40, lr_decay=1.0, emb_scale=3.0, mlp=(32, 16))
+SEP1_GATE, SEP2_GATE, PROBE2_GATE = 0.95, 0.80, 0.20
 
 
 def build_sep_model(vocab, emb_scale, mlp, seed):
@@ -36,14 +40,14 @@ def build_sep_model(vocab, emb_scale, mlp, seed):
     return cl.DetectorModel.create(encoder, *mlp, rng)
 
 
-def run_sep(strategy, epochs, lr_decay, emb_scale, mlp, out_dir, tag):
-    corpus = ascending_corpus(seed=SEED)
+def run_sep(strategy, epochs, lr_decay, emb_scale, mlp, out_dir, tag, seed=SEED):
+    corpus = ascending_corpus(seed=seed)
     vocab = build_vocab(corpus)
-    data = fg.build_dataset(corpus, strategy, 1, seed=SEED)
-    train, valid, test = split_by_source(data, seed=SEED)
-    model = build_sep_model(vocab, emb_scale, mlp, SEED)
+    data = fg.build_dataset(corpus, strategy, 1, seed=seed)
+    train, valid, test = split_by_source(data, seed=seed)
+    model = build_sep_model(vocab, emb_scale, mlp, seed)
     cfg = cl.TrainConfig(
-        batch_size=64, epochs=epochs, learning_rate=0.1, lr_decay_factor=lr_decay, seed=SEED
+        batch_size=64, epochs=epochs, learning_rate=0.1, lr_decay_factor=lr_decay, seed=seed
     )
     ckpt_path = out_dir / f"{tag}.ckpt"
     metrics_path = out_dir / f"{tag}.metrics.jsonl"
@@ -69,8 +73,7 @@ def run_sep(strategy, epochs, lr_decay, emb_scale, mlp, out_dir, tag):
 @pytest.fixture(scope="module")
 def sep1(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("sep1")
-    return run_sep(fg.WORD_SHUFFLE, epochs=15, lr_decay=0.5, emb_scale=2.0,
-                   mlp=(32, 16), out_dir=out_dir, tag="sep1")
+    return run_sep(**SEP1, out_dir=out_dir, tag="sep1")
 
 
 def test_grad1_full_composition_gradient():
@@ -153,15 +156,14 @@ def test_pool1_pooling_and_batch_identity():
 
 def test_sep1_shuffle_learnability(sep1):
     acc = sep1["test_accuracy"]
-    report("SEP-1", acc > 0.95 and sep1["elapsed"] < 600,
+    report("SEP-1", acc > SEP1_GATE and sep1["elapsed"] < 600,
            f"(held-out accuracy {acc:.3f}, {sep1['elapsed']:.0f}s)")
 
 
 def test_sep2_drop_learnability(tmp_path):
-    result = run_sep(fg.WORD_DROP, epochs=40, lr_decay=1.0, emb_scale=3.0,
-                     mlp=(32, 16), out_dir=tmp_path, tag="sep2")
+    result = run_sep(**SEP2, out_dir=tmp_path, tag="sep2")
     acc = result["test_accuracy"]
-    report("SEP-2", acc > 0.80 and result["elapsed"] < 600,
+    report("SEP-2", acc > SEP2_GATE and result["elapsed"] < 600,
            f"(held-out accuracy {acc:.3f}, {result['elapsed']:.0f}s)")
 
 
@@ -221,19 +223,24 @@ def test_probe1_harness_sanity(sep1):
     )
 
 
+def probe2_accuracies(sep, seed=SEED):
+    """(trained, untrained) probe test accuracies for bshift and for sentlen,
+    the untrained encoder being the one ``sep``'s training started from."""
+    untrained = build_sep_model(sep["vocab"], SEP1["emb_scale"], SEP1["mlp"], seed).encoder
+    trained, start = (pb.run_probes(encoder, sep["corpus"], tasks=("sentlen", "bshift"), seed=seed)
+                      for encoder in (sep["best"].encoder, untrained))
+    return tuple((trained[task].test_accuracy, start[task].test_accuracy) for task in ("bshift", "sentlen"))
+
+
 def test_probe2_trained_encoder_beats_its_untrained_start(sep1):
     # an untrained BiLSTM-max is a strong probing baseline (Wieting & Kiela
     # 2019), so the gate is the gain over the encoder training started from
     t0 = time.perf_counter()
-    untrained = build_sep_model(sep1["vocab"], 2.0, (32, 16), SEED).encoder
-    trained, start = (pb.run_probes(encoder, sep1["corpus"], tasks=("sentlen", "bshift"), seed=SEED)
-                      for encoder in (sep1["best"].encoder, untrained))
-    bshift, sentlen = ((trained[task].test_accuracy, start[task].test_accuracy)
-                       for task in ("bshift", "sentlen"))
+    bshift, sentlen = probe2_accuracies(sep1)
     elapsed = time.perf_counter() - t0
     report(
         "PROBE-2",
-        bshift[0] - bshift[1] >= 0.20,
+        bshift[0] - bshift[1] >= PROBE2_GATE,
         f"(bshift {bshift[0]:.3f} trained vs {bshift[1]:.3f} untrained; sentlen, not gated, "
         f"{sentlen[0]:.3f} vs {sentlen[1]:.3f}; {elapsed:.0f}s)",
     )
@@ -250,8 +257,7 @@ def test_init1_first_batch_loss_near_ln2(sep1):
 
 
 def test_repro1_bitwise_reproducibility(sep1, tmp_path):
-    second = run_sep(fg.WORD_SHUFFLE, epochs=15, lr_decay=0.5, emb_scale=2.0,
-                     mlp=(32, 16), out_dir=tmp_path, tag="rerun")
+    second = run_sep(**SEP1, out_dir=tmp_path, tag="rerun")
     same_ckpt = sep1["ckpt_path"].read_bytes() == second["ckpt_path"].read_bytes()
     same_metrics = sep1["metrics_path"].read_bytes() == second["metrics_path"].read_bytes()
     # checkpoint round trip: bit-identical encodings on 100 sentences

@@ -197,16 +197,27 @@ def test_train_is_reproducible(tmp_path):
     assert m1 == m2
 
 
-def test_frozen_embedding_gradient_does_not_carry_into_a_later_run(tmp_path):
+def test_frozen_embedding_gradient_does_not_carry_into_a_later_run(tmp_path, monkeypatch):
     rng = np.random.default_rng(19)
     data = separable_dataset(64, rng)
     vocab_tokens = [f"r{i}" for i in range(8)] + [f"f{i}" for i in range(8)]
     model = build_model(vocab_tokens, seed=22)
     embedding = model.encoder.embedding.value.copy()
+    steps = []  # (tape records, whether the table holds a gradient) after each step's sweep
+    sweep = nc.backward
+
+    def counted_backward(tape, loss):
+        sweep(tape, loss)
+        steps.append((len(tape), model.encoder.embedding.grad is not None))
+
+    monkeypatch.setattr(nc, "backward", counted_backward)
     frozen = cl.TrainConfig(batch_size=16, epochs=1, learning_rate=0.2, seed=3, freeze_embeddings=True)
     cl.train(model, data[:48], data[48:], frozen, tmp_path / "frozen.ckpt")
+    # the gather from the frozen table is the one op left off the tape
+    assert steps == [(11, False)] * 3
     assert np.array_equal(model.encoder.embedding.value, embedding)
     assert all(p.grad is None for p in model.all_parameters())
+    steps.clear()
     # the same weights in a model that never trained, then one unfrozen run each
     twin = build_model(vocab_tokens, seed=22)
     for p, q in zip(model.all_parameters(), twin.all_parameters()):
@@ -214,8 +225,20 @@ def test_frozen_embedding_gradient_does_not_carry_into_a_later_run(tmp_path):
     cfg = cl.TrainConfig(batch_size=16, epochs=1, learning_rate=0.2, seed=4)
     for m in (model, twin):
         cl.train(m, data[:48], data[48:], cfg, tmp_path / "unfrozen.ckpt")
+    assert steps == [(12, True)] * 3 + [(12, False)] * 3  # the counter watches model's table only
     for p, q in zip(model.all_parameters(), twin.all_parameters()):
         assert np.array_equal(p.value, q.value), p.name
+
+
+def test_a_frozen_table_never_takes_a_stale_gradient(tmp_path):
+    rng = np.random.default_rng(19)
+    data = separable_dataset(64, rng)
+    model = build_model([f"r{i}" for i in range(8)] + [f"f{i}" for i in range(8)], seed=22)
+    embedding = model.encoder.embedding.value.copy()
+    model.encoder.embedding.grad = np.ones_like(embedding)  # left by a sweep outside train
+    frozen = cl.TrainConfig(batch_size=16, epochs=1, learning_rate=0.2, seed=3, freeze_embeddings=True)
+    cl.train(model, data[:48], data[48:], frozen, tmp_path / "frozen.ckpt")
+    assert np.array_equal(model.encoder.embedding.value, embedding)
 
 
 def test_lr_decays_on_plateau(tmp_path):

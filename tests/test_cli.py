@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import struct
 import subprocess
@@ -197,22 +198,25 @@ def test_abbreviated_flag_is_one_usage_error_line(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "metrics, clash",
-    [("m.ckpt", "--out and --metrics"), ("data.jsonl", "--metrics and --data"),
-     ("m.ckpt.config", "--metrics and the config of --out")],
-    ids=["out", "data", "out-config"],
+    "metrics, clash, shown",
+    [("m.ckpt", "--out and --metrics", "m.ckpt"), ("data.jsonl", "--metrics and --data", "data.jsonl"),
+     ("m.ckpt.config", "--metrics and the config of --out", "m.ckpt.config"),
+     ("hard.jsonl", "--metrics and --data", "data.jsonl")],
+    ids=["out", "data", "out-config", "hard-link-to-data"],
 )
 def test_train_metrics_on_another_file_of_the_run_is_one_usage_error_line(
-        tiny_corpus, tmp_path, capsys, metrics, clash):
+        tiny_corpus, tmp_path, capsys, metrics, clash, shown):
     data = tmp_path / "data.jsonl"
     assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 3,
                     "--in", tiny_corpus, "--out", data]) == 0
+    if metrics == "hard.jsonl":
+        os.link(data, tmp_path / metrics)
     dataset = data.read_bytes()
     capsys.readouterr()
     assert run_cli(["train", "--data", data, "--valid", data, "--dim", 4, "--hidden", 4,
                     "--mlp", "4,4", "--epochs", 1, "--seed", 5, "--out", tmp_path / "m.ckpt",
                     "--metrics", tmp_path / metrics]) == 2
-    assert capsys.readouterr().err == f"usage-error: {clash} are the same file: {tmp_path / metrics}\n"
+    assert capsys.readouterr().err == f"usage-error: {clash} are the same file: {tmp_path / shown}\n"
     assert data.read_bytes() == dataset
     assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "m.ckpt.config").exists()
 
@@ -262,6 +266,23 @@ def test_metrics_into_a_missing_directory_is_a_data_error(tiny_corpus, tmp_path,
                     "--mlp", "4,4", "--epochs", 1, "--seed", 5, "--out", tmp_path / "m.ckpt",
                     "--metrics", metrics]) == 3
     one_data_error_line(capsys, str(metrics))
+
+
+def test_train_on_a_token_a_checkpoint_cannot_store_stops_before_writing(tiny_corpus, tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 3,
+                    "--in", tiny_corpus, "--out", data]) == 0
+    lines = data.read_text().splitlines()
+    with data.open("a", encoding="utf-8") as f:
+        f.write(json.dumps({"id": "long", "tokens": ["x" * 70000, "b"], "label": 1, "source_id": "long"}) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "m.ckpt"
+    assert run_cli(["train", "--data", data, "--valid", data, "--dim", 4, "--hidden", 4,
+                    "--mlp", "4,4", "--epochs", 1, "--seed", 5, "--out", out,
+                    "--metrics", tmp_path / "m.jsonl"]) == 3
+    assert capsys.readouterr().err == (f"data-error: {data}:{len(lines) + 1}: bad dataset record: "
+                                       "a token of 70000 UTF-8 bytes, over the 65535 a checkpoint stores\n")
+    assert not any(p.exists() for p in (out, tmp_path / "m.ckpt.config", tmp_path / "m.jsonl"))
 
 
 def test_divergence_found_by_validation_is_one_numerical_error_line(tiny_corpus, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import re
 from collections import Counter
 
@@ -244,4 +245,27 @@ def test_read_dataset_names_path_and_line_of_a_bad_record(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text(_REAL_LINE + "\n\n" + _REAL_LINE.replace('"label": 1', '"label": 5') + "\n")
     with pytest.raises(MalformedLine, match=rf"^{re.escape(str(p))}:3: bad dataset record: label 5"):
+        fg.load_dataset(p)
+
+
+def record_with(token, escaped):
+    return json.dumps({"id": "0", "tokens": ["a", token, "c"], "label": 1, "source_id": "0"}, ensure_ascii=escaped)
+
+
+@pytest.mark.parametrize("escaped", [False, True], ids=["raw", "escaped"])
+@pytest.mark.parametrize("token", ["a" * 65535, "\u00e9" * 32767 + "a", "\U0001f600" * 16383 + "abc"],
+                         ids=["ascii", "two-byte", "four-byte"])
+def test_load_dataset_keeps_a_token_of_65535_utf8_bytes(tmp_path, token, escaped):
+    p = tmp_path / "d.jsonl"
+    p.write_text(record_with(token, escaped) + "\n", encoding="utf-8")
+    assert fg.load_dataset(p)[0].sentence.tokens[1] == token
+
+
+@pytest.mark.parametrize("escaped", [False, True], ids=["raw", "escaped"])
+@pytest.mark.parametrize("token", ["a" * 65536, "\u00e9" * 32768, "\U0001f600" * 16384],
+                         ids=["ascii", "two-byte", "four-byte"])
+def test_load_dataset_rejects_a_token_a_checkpoint_cannot_store(tmp_path, token, escaped):
+    p = tmp_path / "d.jsonl"
+    p.write_text(_REAL_LINE + "\n" + record_with(token, escaped) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedLine, match=rf"^{re.escape(str(p))}:2: bad dataset record: a token of 65536 "):
         fg.load_dataset(p)

@@ -379,6 +379,29 @@ def test_taped_call_adds_one_record_and_the_untaped_bits(name):
     assert taped.data.dtype == untaped.data.dtype and np.array_equal(taped.data, untaped.data)
 
 
+def test_an_op_whose_inputs_are_all_frozen_is_not_taped():
+    rng = np.random.default_rng(8)
+    table = nc.Parameter("emb", rng.standard_normal((5, 3)))
+    w = nc.Parameter("w", rng.standard_normal((3, 2)))
+    runs = []
+    for frozen in ((), (table,)):
+        table.zero_grad()  # a frozen table keeps whatever gradient it had
+        tape = nc.Tape(frozen)
+        gathered = nc.rows(tape, table, np.array([4, 1, 4]))  # reads only the table
+        gather_records = len(tape)
+        nc.backward(tape, scalar_sum(tape, nc.matmul(tape, gathered, w)))
+        gather = (gather_records, table.grad, w.grad)
+        tape = nc.Tape(frozen)
+        nc.backward(tape, scalar_sum(tape, nc.matmul(tape, table, w)))  # reads the table and w
+        runs.append((gather, (len(tape), w.grad)))
+    (taped, taped_mixed), (untaped, frozen_mixed) = runs
+    assert (taped[0], untaped[0]) == (1, 0)
+    assert taped[1] is not None and untaped[1] is None
+    assert np.array_equal(untaped[2], taped[2])
+    assert taped_mixed[0] == frozen_mixed[0] == 3
+    assert np.array_equal(frozen_mixed[1], taped_mixed[1])
+
+
 @pytest.mark.parametrize("name, args", [("narrow", (1, 2)), ("pick", (1,))])
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_narrow_and_pick_count_a_negative_axis_from_the_end(name, args, axis):
