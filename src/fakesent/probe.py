@@ -9,10 +9,12 @@ Three tasks are generable from raw tokens alone:
 
 Each generator produces a deterministic 80/10/10 train/valid/test split
 keyed by a hash of (seed, sentence id). Probes are multinomial logistic
-regressions trained by full-batch gradient descent with an L2 penalty on
-the weights (bias unpenalized); the penalty is picked on the validation
-split (ties go to the smaller penalty) and only the test accuracy of the
-chosen probe is reported. The encoder is never touched.
+regressions with an L2 penalty on the weights (bias unpenalized), fit from
+zero by a Hessian-free Newton method (Newton-CG) that never forms the
+Hessian; the penalty is picked on the validation split (ties go to the
+smaller penalty), and only the test accuracy of the chosen probe is
+reported, beside every penalty's validation accuracy, Newton steps and
+convergence. The encoder is never touched.
 """
 
 from __future__ import annotations
@@ -182,57 +184,111 @@ class ProbeResult:
     num_classes: int
     split_sizes: dict[str, int]
     valid_accuracy: float
+    sweep: list[dict]  # per grid penalty, ascending: l2, valid_accuracy, iterations, converged
 
     def to_dict(self) -> dict:
         """Every field but ``name``, which the report keys by."""
         return {k: v for k, v in asdict(self).items() if k != "name"}
 
 
+@dataclass(frozen=True)
+class LogisticFit:
+    """One fitted probe: weights (d, K), bias (K,), whether the gradient norm
+    fell below the tolerance, and the Newton steps taken. It unpacks as
+    ``w, b, converged``."""
+
+    w: np.ndarray
+    b: np.ndarray
+    converged: bool
+    iterations: int
+
+    def __iter__(self):
+        return iter((self.w, self.b, self.converged))
+
+
 def fit_logistic(
     x: np.ndarray, y: np.ndarray, num_classes: int, l2: float, max_iterations: int, tolerance: float
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Multinomial logistic regression by full-batch gradient descent.
+) -> LogisticFit:
+    """Multinomial logistic regression by Hessian-free Newton (Newton-CG).
 
-    Minimizes mean cross-entropy + l2 * sum(W^2) with a backtracking
-    (Armijo) line search; the bias is not penalized. Returns (W, b,
-    converged) where converged means the gradient norm fell below the
-    tolerance within the iteration budget. When the line search finds no
-    acceptable step above 1e-14, the fit stops at the last accepted (W, b).
+    Minimizes mean cross-entropy + l2 * sum(W^2) from W = 0, b = 0; the bias
+    is not penalized. Each Newton step solves H p = -g by conjugate
+    gradients, which see the Hessian only through products H v, each two
+    products with the (n, d) features over (n, K) temporaries: the
+    ((d+1)K)^2 Hessian is never formed. CG stops at a relative residual of
+    min(0.5, sqrt(|g|)), on non-positive or overflowed curvature (at its
+    first step p is then -g), or after (d+1)K steps; an Armijo backtracking
+    line search along p then starts at the full step. ``max_iterations`` bounds the Newton steps, and converged means
+    the gradient norm fell below ``tolerance``. When no step down to 1e-14
+    passes the line search, the fit stops at the last accepted (W, b).
     """
     n, d = x.shape
-    w = np.zeros((d, num_classes))
-    b = np.zeros(num_classes)
+    theta = np.zeros((d + 1, num_classes))  # rows :d hold W, row d holds b
     rows = np.arange(n)
 
-    def objective(w_, b_):
-        """Penalized loss at (w_, b_) and the class probabilities its gradient needs."""
-        logp, probs = nc.log_softmax(x @ w_ + b_)
-        return float(-logp[rows, y].mean()) + l2 * float((w_ * w_).sum()), probs
+    def logits(v):
+        return x @ v[:d] + v[d]
 
-    loss, probs = objective(w, b)
-    step = 1.0
-    converged = False
-    for _ in range(max_iterations):
+    def objective(v):
+        """Penalized loss at v and the class probabilities its gradient needs."""
+        logp, probs = nc.log_softmax(logits(v))
+        return float(-logp[rows, y].mean()) + l2 * float((v[:d] * v[:d]).sum()), probs
+
+    def pull_back(z, v):
+        """An (n, K) logit-space array taken to parameter space, plus the
+        penalty's term at v: (x.T z + 2 l2 v_W, column sums of z)."""
+        return np.vstack([x.T @ z + 2.0 * l2 * v[:d], z.sum(axis=0)])
+
+    def hessian_times(v, probs):
+        """H v at the point whose class probabilities are ``probs``."""
+        z = logits(v)
+        return pull_back(probs * (z - (probs * z).sum(axis=1, keepdims=True)) / n, v)
+
+    def newton_direction(g, gnorm, probs):
+        """Truncated CG on H p = -g from p = 0."""
+        p = np.zeros_like(g)
+        r = s = -g
+        rr = gnorm * gnorm
+        stop = min(0.5, math.sqrt(gnorm)) * gnorm
+        for k in range((d + 1) * num_classes):
+            hs = hessian_times(s, probs)
+            curvature = float((s * hs).sum())
+            if not 0 < curvature < math.inf:  # non-positive, or H s overflowed: CG cannot go on
+                return s if k == 0 else p
+            alpha = rr / curvature
+            p = p + alpha * s
+            r = r - alpha * hs
+            rr_next = float((r * r).sum())
+            if math.sqrt(rr_next) <= stop:
+                break
+            s = r + (rr_next / rr) * s
+            rr = rr_next
+        return p
+
+    loss, probs = objective(theta)
+    iterations = 0
+    while True:
         r = probs.copy()
         r[rows, y] -= 1.0  # probs - onehot(y)
-        r /= n
-        gw, gb = x.T @ r + 2.0 * l2 * w, r.sum(axis=0)
-        gnorm2 = float((gw * gw).sum() + (gb * gb).sum())
-        if np.sqrt(gnorm2) < tolerance:
-            converged = True
+        g = pull_back(r / n, theta)
+        gnorm = math.sqrt(float((g * g).sum()))
+        converged = gnorm < tolerance
+        if converged or iterations == max_iterations:
             break
+        p = newton_direction(g, gnorm, probs)
+        slope = float((g * p).sum())
+        step = 1.0
         while step > 1e-14:
-            w_new = w - step * gw
-            b_new = b - step * gb
-            loss_new, probs_new = objective(w_new, b_new)
-            if loss_new <= loss - 0.5 * step * gnorm2:
+            trial = theta + step * p
+            trial_loss, trial_probs = objective(trial)
+            if trial_loss <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
-            break  # no step passed the Armijo test: keep the last accepted (w, b)
-        w, b, loss, probs = w_new, b_new, loss_new, probs_new
-        step = min(step * 2.0, 1e6)
-    return w, b, converged
+            break  # no step passed the Armijo test: keep the last accepted (W, b)
+        theta, loss, probs = trial, trial_loss, trial_probs
+        iterations += 1
+    return LogisticFit(theta[:d], theta[d], converged, iterations)
 
 
 def _features(split, encodings) -> tuple[np.ndarray, np.ndarray]:
@@ -248,8 +304,9 @@ def train_probe(
     dataset: ProbeDataset, encodings: dict[str, np.ndarray], cfg: ProbeConfig | None = None
 ) -> ProbeResult:
     """Fit one probe per grid penalty, pick by validation accuracy, and
-    report the chosen probe's test accuracy. Encoder parameters are not
-    part of this computation at all, only the cached encodings."""
+    report the chosen probe's test accuracy with the whole sweep. Encoder
+    parameters are not part of this computation at all, only the cached
+    encodings."""
     cfg = cfg or ProbeConfig()
     if not dataset.valid or not dataset.test:
         raise InsufficientExamples(f"{dataset.name}: no probe can be chosen and tested on splits "
@@ -257,24 +314,25 @@ def train_probe(
     x_train, y_train = _features(dataset.train, encodings)
     x_valid, y_valid = _features(dataset.valid, encodings)
     x_test, y_test = _features(dataset.test, encodings)
-    best = None
+    sweep, best = [], None
     for l2 in sorted(cfg.l2_grid):
-        w, b, converged = fit_logistic(
-            x_train, y_train, dataset.num_classes, l2, cfg.max_iterations, cfg.tolerance
-        )
-        val_acc = float((np.argmax(x_valid @ w + b, axis=1) == y_valid).mean())
+        fit = fit_logistic(x_train, y_train, dataset.num_classes, l2, cfg.max_iterations, cfg.tolerance)
+        val_acc = float((np.argmax(x_valid @ fit.w + fit.b, axis=1) == y_valid).mean())
+        sweep.append({"l2": l2, "valid_accuracy": val_acc, "iterations": fit.iterations,
+                      "converged": fit.converged})
         if best is None or val_acc > best[0]:
-            best = (val_acc, l2, w, b, converged)
-    val_acc, l2, w, b, converged = best
-    test_acc = float((np.argmax(x_test @ w + b, axis=1) == y_test).mean())
+            best = (val_acc, l2, fit)
+    val_acc, l2, fit = best
+    test_acc = float((np.argmax(x_test @ fit.w + fit.b, axis=1) == y_test).mean())
     return ProbeResult(
         name=dataset.name,
         test_accuracy=test_acc,
         chosen_l2=l2,
-        converged=converged,
+        converged=fit.converged,
         num_classes=dataset.num_classes,
         split_sizes=dataset.split_sizes,
         valid_accuracy=val_acc,
+        sweep=sweep,
     )
 
 

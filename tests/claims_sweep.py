@@ -4,8 +4,9 @@ Each criterion in ``test_acceptance.py`` runs at one seed (``SEED`` = 100).
 This script reruns SEP-1 at seeds 100-107 and SEP-2 and PROBE-2 at seeds
 100-104, with the suite's own set-up (``run_sep``, ``build_sep_model``),
 settings and gates; only the seed changes. PROBE-2 probes the SEP-1 model
-of its seed. For each criterion it prints every reading as it comes, then
-the minimum, the median and the gate.
+of its seed, and each of its lines also gives the ungated sentlen pair. For
+each criterion it prints every reading as it comes, then the minimum, the
+median and the gate.
 
 pytest does not collect it (its name does not start with ``test_``). Run it
 from the repository root:
@@ -46,10 +47,11 @@ def main() -> int:
             print(f"SEP-1 seed {seed}: {sep1[seed]:.3f} (best epoch {result['report'].best_epoch}, "
                   f"{result['elapsed']:.0f}s)", flush=True)
             if seed in PROBE2_SEEDS:
-                bshift, _ = acc.probe2_accuracies(result, seed)
+                bshift, sentlen = acc.probe2_accuracies(result, seed)
                 probe2[seed] = bshift[0] - bshift[1]
                 print(f"PROBE-2 seed {seed}: {probe2[seed]:.3f} (bshift {bshift[0]:.3f} trained "
-                      f"vs {bshift[1]:.3f} untrained)", flush=True)
+                      f"vs {bshift[1]:.3f} untrained; sentlen, not gated, {sentlen[0]:.3f} vs "
+                      f"{sentlen[1]:.3f})", flush=True)
         for seed in SEP2_SEEDS:
             result = acc.run_sep(**acc.SEP2, out_dir=out_dir, tag=f"sep2-{seed}", seed=seed)
             sep2[seed] = result["test_accuracy"]

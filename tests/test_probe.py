@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fakesent import probe as pb
 from fakesent.corpus import Sentence, Vocabulary, build_vocab, init_embeddings
 from fakesent.encoder import SentenceEncoder
 from fakesent.errors import DegenerateBins, InsufficientExamples, MalformedLine
+from synthetic import ascending_corpus
 
 
 def sent(tokens, id):
@@ -210,15 +213,35 @@ def test_probe_loss_matches_scipy_oracle():
 
 
 def test_fit_logistic_keeps_last_accepted_point_when_line_search_underflows():
-    # features of size 1e10 curve the loss so sharply along the gradient that
-    # every step down to 1e-14 overshoots and fails the Armijo test
+    # features of size 1e100 overflow the curvature of the first CG step, so
+    # the Newton direction falls back to -g, whose entries reach 1.6e99:
+    # even a step of 1e-14 along it moves the logits by up to 6e185, so every
+    # step down to 1e-14 fails the Armijo test
     rng = np.random.default_rng(3)
-    x = 1e10 * rng.standard_normal((20, 2))
+    x = 1e100 * rng.standard_normal((20, 2))
     y = rng.integers(0, 2, size=20)
-    w, b, converged = pb.fit_logistic(x, y, 2, l2=0.0, max_iterations=5, tolerance=1e-5)
+    with np.errstate(over="ignore"):  # the overflow is the input's point
+        w, b, converged = pb.fit_logistic(x, y, 2, l2=0.0, max_iterations=5, tolerance=1e-5)
     assert not converged
     assert np.array_equal(w, np.zeros((2, 2)))
     assert np.array_equal(b, np.zeros(2))
+
+
+def test_fit_logistic_memory_stays_bounded_at_paper_width():
+    # 2H = 1,024 features and 10 classes: a dense Hessian over (W, b) would
+    # hold 10,250^2 float64s (840 MB), 50 times the features' 16 MB
+    rng = np.random.default_rng(31)
+    n, d, k = 2000, 1024, 10
+    x = rng.standard_normal((n, d))
+    y = np.argmax(x @ rng.standard_normal((d, k)) + 30 * rng.standard_normal((n, k)), axis=1)
+    tracemalloc.start()
+    try:
+        fit = pb.fit_logistic(x, y, k, l2=1e-4, max_iterations=100, tolerance=1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak < 3 * x.nbytes
 
 
 def test_larger_penalty_never_grows_weight_norm():
@@ -306,6 +329,37 @@ def test_run_probes_encodes_each_sentence_once(monkeypatch):
     assert len(seen) == len(set(seen))
     assert set(seen) == {s.id for d in datasets.values() for s in d.sentences()}
     assert len(seen) < sum(len(d.sentences()) for d in datasets.values())  # the tasks do share sentences
+
+
+def test_every_desk_probe_fit_converges(monkeypatch):
+    # desk shapes: d=16, H=32, a random encoder; each fit's returned point is
+    # checked by a float64 gradient of its own
+    corpus = ascending_corpus(3000, seed=2)
+    vocab = build_vocab(corpus)
+    rng = np.random.default_rng(8)
+    encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 16, rng), 32, rng)
+    fits = []
+    fit_logistic = pb.fit_logistic
+
+    def recording(x, y, num_classes, l2, max_iterations, tolerance):
+        fit = fit_logistic(x, y, num_classes, l2, max_iterations, tolerance)
+        fits.append((x, y, l2, tolerance, fit))
+        return fit
+
+    monkeypatch.setattr(pb, "fit_logistic", recording)
+    results = pb.run_probes(encoder, corpus, seed=5)
+    grid = sorted(pb.ProbeConfig().l2_grid)
+    sweep = [entry for task in pb.TASKS for entry in results[task].sweep]
+    assert [entry["l2"] for entry in sweep] == grid * len(pb.TASKS)
+    assert all(entry["converged"] for entry in sweep)
+    assert [entry["iterations"] for entry in sweep] == [fit.iterations for *_, fit in fits]
+    for x, y, l2, tolerance, (w, b, _) in fits:
+        logits = x @ w + b
+        r = np.exp(logits - logits.max(axis=1, keepdims=True))
+        r /= r.sum(axis=1, keepdims=True)
+        r[np.arange(len(y)), y] -= 1.0
+        grad = np.concatenate([(x.T @ r / len(y) + 2 * l2 * w).ravel(), r.mean(axis=0)])
+        assert np.linalg.norm(grad) < tolerance
 
 
 def test_run_probes_rejects_two_sentences_sharing_an_id():
