@@ -266,14 +266,24 @@ def cmd_train(cfg) -> int:
     return 0
 
 
+def format_vector(vec: np.ndarray) -> str:
+    """1-D ``vec`` space-separated, each value as ``np.format_float_positional(v, unique=True, trim="-")``."""
+    # astype(str) writes the same digits in one C loop, but "1e-05" below 1e-4 and from 1e16
+    # up, and "1.0" for a whole value: redo those, in the list (the <U array truncates).
+    text = vec.astype(str)
+    fields = text.tolist()
+    for i in np.flatnonzero((np.char.find(text, "e") >= 0) | np.char.endswith(text, ".0")).tolist():
+        fields[i] = np.format_float_positional(vec[i], unique=True, trim="-")
+    return " ".join(fields)
+
+
 def cmd_encode(cfg) -> int:
     model = ckpt.load_model(cfg["model"])
     corpus = load_corpus(cfg["in"])
     vectors = model.encoder.encode_batch(corpus, batch_size=cfg["batch"])
     with open(cfg["out"], "w", encoding="utf-8") as f:
         for sent, vec in zip(corpus, vectors):
-            values = " ".join(np.format_float_positional(v, unique=True, trim="-") for v in vec)
-            f.write(f"{sent.id} {values}\n")
+            f.write(f"{sent.id} {format_vector(vec)}\n")
     write_resolved_config(cfg["out"] + ".config", cfg)
     print(json.dumps({"sentences": len(corpus), "dim": int(vectors.shape[1])}))
     return 0

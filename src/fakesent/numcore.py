@@ -8,9 +8,9 @@ on every tensor its tape reads before it sweeps, and the update that consumes
 a gradient drops it. There is one argument rule: indices, lengths and labels
 pass ``_ints``, integers in a range. There is one output rule: each op
 computes its value eagerly and returns it through ``_out``, which wraps it in
-a Tensor and, on a Tape, records the op's backward closure unless every input
-is one of the tape's ``frozen`` tensors, such as a fixed embedding table; only
-``softmax_cross_entropy`` returns anything beside it (its probabilities).
+a Tensor and, on a Tape, records the op's backward closure or, when every input
+is one of the tape's ``frozen`` tensors (a fixed embedding table), freezes the
+output too; only ``softmax_cross_entropy`` also returns its probabilities.
 ``backward`` replays the tape in reverse, summing each tensor's gradients.
 
 The encoder's BiLSTM is one fused op, ``bilstm``, with one hand-written
@@ -45,6 +45,9 @@ guarantee of the encoder:
   ``_ROW_TILE``: OpenBLAS was seen to change such a sum with the thread
   count at other lengths, never at a multiple of 64, so training bytes do
   not depend on the thread count when a batch is partial.
+* A forward product's right operand is C-contiguous (``_transposed``
+  copies ``w.T`` and ``u.T``), which OpenBLAS runs faster; the tests pin
+  that both layouts give equal bits at every model shape tested.
 * All other forward ops are elementwise or pure indexing, which numpy
   evaluates value-deterministically.
 
@@ -121,7 +124,7 @@ class Tape:
 
     def __init__(self, frozen: Sequence[Tensor] = ()):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], BackwardFn]] = []
-        self.frozen = tuple(frozen)
+        self.frozen = list(frozen)
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], fn: BackwardFn) -> None:
         self._records.append((out, inputs, fn))
@@ -131,10 +134,13 @@ class Tape:
 
 
 def _out(tape: Tape | None, data: np.ndarray, inputs: tuple[Tensor, ...], back: BackwardFn) -> Tensor:
-    """An op's output: ``data`` as a Tensor, taped with its backward rule unless every input is frozen."""
+    """An op's output: ``data`` as a Tensor, taped with its backward rule, or frozen
+    itself when every input is frozen."""
     out = Tensor(data)
     if tape is not None and any(t not in tape.frozen for t in inputs):
         tape.record(out, inputs, back)
+    elif tape is not None:
+        tape.frozen.append(out)
     return out
 
 
@@ -154,9 +160,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     Every tensor the tape reads starts the sweep with ``grad`` None, takes its first
     contribution as is and adds later ones; intermediate gradients are freed once their
-    record is processed, so only tensors no record outputs keep theirs: Parameters, and
-    an untaped op's output, such as a gather from a frozen table. Gradients are not
-    checked for finiteness here: ``sgd_step`` and ``grad_check`` check the ones they use.
+    record is processed, so only tensors no record outputs keep theirs, such as Parameters;
+    a rule may give None for a frozen input (a gather from a frozen table), which then takes
+    no gradient. Gradients are not checked for finiteness here: ``sgd_step`` and
+    ``grad_check`` check the ones they use.
     """
     if loss.data.size != 1:
         raise ShapeMismatch(f"loss must be scalar, got shape {loss.data.shape}")
@@ -170,7 +177,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
         if out.grad is None:
             continue
         for t, g in zip(inputs, fn(out.grad)):
-            _accumulate(t, g)
+            if g is not None:
+                _accumulate(t, g)
         out.grad = None
 
 
@@ -207,6 +215,14 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # zero rows padding the last tile are sliced off again.
     out = _pad_rows(a).reshape(-1, _ROW_TILE, a.shape[1]) @ b
     return out.reshape(-1, out.shape[-1])[: len(a)]
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    # a.T, C-contiguous, copied _ROW_TILE rows at a time (one strided copy thrashes the cache)
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    for lo in range(0, len(a), _ROW_TILE):
+        out[:, lo : lo + _ROW_TILE] = a[lo : lo + _ROW_TILE].T
+    return out
 
 
 def _tmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -309,9 +325,10 @@ def _lstm_forward(xp: np.ndarray, active: list[int], w: np.ndarray, b: np.ndarra
     """
     hidden = u.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        acts = _mm(xp, w.T)
+        acts = _mm(xp, _transposed(w))  # w's copy is freed here, u's held through the steps
         acts += b
     _check_finite(acts, "bilstm")
+    ut = _transposed(u)
     cells, tcs, states = (np.empty((len(xp), hidden), dtype=xp.dtype) for _ in range(3))
     h = c = np.zeros((active[0], hidden), dtype=xp.dtype)
     lo = 0
@@ -319,7 +336,7 @@ def _lstm_forward(xp: np.ndarray, active: list[int], w: np.ndarray, b: np.ndarra
         hi = lo + n
         a = acts[lo:hi]
         with np.errstate(over="ignore", invalid="ignore"):
-            a += _mm(h[:n], u.T)
+            a += _mm(h[:n], ut)
         _check_finite(a, "bilstm")
         a[:, : 3 * hidden] = _sigmoid(a[:, : 3 * hidden])
         np.tanh(a[:, 3 * hidden :], out=a[:, 3 * hidden :])
@@ -332,10 +349,10 @@ def _lstm_forward(xp: np.ndarray, active: list[int], w: np.ndarray, b: np.ndarra
 
 
 def _lstm_backward(
-    dstates: np.ndarray, xp: np.ndarray, active: list[int], w: np.ndarray, u: np.ndarray, saved
+    dstates: np.ndarray, xp: np.ndarray, active: list[int], w: np.ndarray | None, u: np.ndarray, saved
 ):
     """Backpropagation through time for one direction over ``_lstm_forward``'s
-    packed layout: (dxp, dw, db, du), dxp (N, d) like xp."""
+    packed layout: (dxp, dw, db, du), dxp (N, d) like xp, or None without ``w``."""
     acts, cells, tcs, states = saved
     hidden = u.shape[1]
     dproj = np.empty_like(acts)
@@ -365,7 +382,7 @@ def _lstm_backward(
         dh_next = dpre @ u
         dc_next, f_next = dc, f
         hi = lo
-    return dproj @ w, _tmm(dproj, xp), dproj.sum(axis=0), _tmm(dproj, h_prev)
+    return None if w is None else dproj @ w, _tmm(dproj, xp), dproj.sum(axis=0), _tmm(dproj, h_prev)
 
 
 def bilstm(
@@ -410,14 +427,17 @@ def bilstm(
             saved.append((xp, runs))
         del xp, runs  # so an untaped call holds one direction's arrays at a time
 
+    frozen_x = tape is not None and x in tape.frozen  # a bool: a closure holding the tape makes a cycle
+
     def back(g):
-        dx = np.zeros_like(xd)
+        dx = None if frozen_x else np.zeros_like(xd)  # a frozen input takes no gradient
         grads = []
         for k, (w, _, u) in enumerate((fwd, bwd)):
             xp, runs = saved[k]
             dstates = g[(*where[k], slice(k * hidden, (k + 1) * hidden))]
-            dxp, *dwbu = _lstm_backward(dstates, xp, active, w.data, u.data, runs)
-            dx[where[k]] += dxp
+            dxp, *dwbu = _lstm_backward(dstates, xp, active, None if frozen_x else w.data, u.data, runs)
+            if dx is not None:
+                dx[where[k]] += dxp
             grads += dwbu
         return (dx, *grads)
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -228,6 +229,46 @@ def test_frozen_embedding_gradient_does_not_carry_into_a_later_run(tmp_path, mon
     assert steps == [(12, True)] * 3 + [(12, False)] * 3  # the counter watches model's table only
     for p, q in zip(model.all_parameters(), twin.all_parameters()):
         assert np.array_equal(p.value, q.value), p.name
+
+
+def test_every_forward_product_reads_a_c_contiguous_right_operand(tmp_path, monkeypatch):
+    rng = np.random.default_rng(19)
+    data = separable_dataset(48, rng)
+    model = build_model([f"r{i}" for i in range(8)] + [f"f{i}" for i in range(8)], dim=5, hidden=7)
+    layouts = []
+    mm = nc._mm
+
+    def spy(a, b):
+        layouts.append((b.shape, b.flags.c_contiguous))
+        return mm(a, b)
+
+    monkeypatch.setattr(nc, "_mm", spy)
+    model.encoder.encode_batch([ex.sentence for ex in data])
+    # one epoch of one batch: one training step, then a validation pass
+    cfg = cl.TrainConfig(batch_size=32, epochs=1, learning_rate=0.2, seed=3)
+    cl.train(model, data[:32], data[32:], cfg, tmp_path / "m.ckpt")
+    assert {shape for shape, _ in layouts} >= {(5, 28), (7, 28), (14, 8), (8, 4), (4, 2)}
+    assert all(contiguous for _, contiguous in layouts), sorted(set(layouts))
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_a_taped_step_leaves_no_reference_cycle(freeze):
+    # a backward rule holding its tape is a cycle: each step's arrays would then
+    # wait for the cyclic collector, and memory would grow by a tape per step
+    data = separable_dataset(16, np.random.default_rng(19))
+    model = build_model([f"r{i}" for i in range(8)] + [f"f{i}" for i in range(8)], seed=22)
+    idx, lengths = model.encoder.prepare_batch([ex.sentence for ex in data])
+    labels = np.array([ex.label for ex in data])
+    gc.collect()
+    gc.disable()
+    try:
+        tape = nc.Tape((model.encoder.embedding,) if freeze else ())
+        loss, _ = model.batch_loss(tape, idx, lengths, labels)
+        nc.backward(tape, loss)
+        del tape, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_frozen_table_never_takes_a_stale_gradient(tmp_path):

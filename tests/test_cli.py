@@ -439,6 +439,22 @@ def test_full_pipeline_smoke(tiny_corpus, tmp_path, capsys):
     assert (tmp_path / "probe.json.config").exists()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vector_fields_are_the_shortest_positional_decimals(dtype):
+    info = np.finfo(dtype)
+    edges = np.array([0.0, -0.0, 1.0, -1.0, 1e-4, np.nextafter(dtype(1e-4), dtype(0)), 1e16, info.max,
+                      info.smallest_subnormal, -info.tiny], dtype=dtype)
+    uint = np.dtype(f"u{info.bits // 8}")
+    bits = np.random.default_rng(13).integers(0, np.iinfo(uint).max, 201_000, dtype=uint, endpoint=True)
+    finite = bits.view(dtype)[np.isfinite(bits.view(dtype))][:200_000]
+    assert len(finite) == 200_000
+    values = np.concatenate([edges, finite])
+    fields = cli.format_vector(values).split(" ")
+    assert fields[:4] == ["0", "-0", "1", "-1"] and fields[6] == "10000000000000000"
+    assert fields == [np.format_float_positional(v, unique=True, trim="-") for v in values]
+    assert not any("e" in f for f in fields)
+
+
 def test_identical_configs_identical_outputs(tiny_corpus, tmp_path, capsys):
     outs = []
     for tag in ("a", "b"):

@@ -74,6 +74,27 @@ def test_matmul_rows_bit_identical_to_rows_computed_alone(dtype):
             assert np.array_equal(out, alone[start : start + n]), f"{n} rows from row {start}"
 
 
+@pytest.mark.parametrize("rows, cols", [(40, 7), (64, 3), (130, 9)])
+def test_transposed_copy_is_the_transpose_in_c_order(rows, cols):
+    # 40 is 4H at H = 10: the last 64-row block of the copy is partial
+    a = np.random.default_rng(3).standard_normal((rows, cols)).astype(np.float32)
+    t = nc._transposed(a)
+    assert t.flags.c_contiguous and t.dtype == a.dtype
+    assert np.array_equal(t, a.T)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d, hidden", [(8, 8), (16, 32), (64, 256), (300, 512)])
+def test_mm_gives_the_same_bits_with_a_contiguous_copy_as_with_the_transposed_view(dtype, d, hidden):
+    # the model's forward weights, (4H, d) input and (4H, H) recurrent, at the
+    # gradcheck, desk, mid and paper shapes; 70 rows make one full and one padded tile
+    rng = np.random.default_rng(11)
+    for inner in (d, hidden):
+        w = rng.standard_normal((4 * hidden, inner)).astype(dtype)
+        x = rng.standard_normal((70, inner)).astype(dtype)
+        assert np.array_equal(nc._mm(x, nc._transposed(w)), nc._mm(x, w.T)), (dtype, inner)
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         nc.matmul(None, constant(np.ones((2, 3))), constant(np.ones((4, 2))))
@@ -400,6 +421,29 @@ def test_an_op_whose_inputs_are_all_frozen_is_not_taped():
     assert np.array_equal(untaped[2], taped[2])
     assert taped_mixed[0] == frozen_mixed[0] == 3
     assert np.array_equal(frozen_mixed[1], taped_mixed[1])
+
+
+def test_bilstm_computes_no_gradient_for_a_frozen_input():
+    # a training step with a frozen table: the gather's output is frozen, so
+    # bilstm's backward builds no dx and the weights' gradients do not change
+    rng = np.random.default_rng(12)
+    table = nc.Parameter("emb", rng.standard_normal((7, 3)))
+    idx, lengths = rng.integers(0, 7, size=(4, 5)), np.array([5, 2, 4, 1])
+    params = bilstm_params(rng, 3, 2)
+    runs = []
+    for frozen in ((), (table,)):
+        table.zero_grad()  # a frozen table keeps whatever gradient it had
+        tape = nc.Tape(frozen)
+        x = nc.rows(tape, table, idx)
+        out = nc.bilstm(tape, x, lengths, tuple(params[:3]), tuple(params[3:]))
+        dx = tape._records[-1][2](np.ones_like(out.data))[0]  # bilstm's backward rule
+        nc.backward(tape, scalar_sum(tape, nc.max_over_time(tape, out, lengths)))
+        runs.append((x in tape.frozen, dx, table.grad, [p.grad for p in params]))
+    (taped, taped_dx, table_grad, grads), (frozen, frozen_dx, frozen_table_grad, frozen_grads) = runs
+    assert not taped and taped_dx.shape == (4, 5, 3) and table_grad.shape == (7, 3)
+    assert frozen and frozen_dx is None and frozen_table_grad is None
+    for g, fg in zip(grads, frozen_grads):
+        assert np.array_equal(g, fg)
 
 
 @pytest.mark.parametrize("name, args", [("narrow", (1, 2)), ("pick", (1,))])
