@@ -18,8 +18,7 @@ Layout (all integers little-endian):
 Parameters are saved in ``DetectorModel.all_parameters`` order: embedding
 (V, d); fwd.w (4H, d), fwd.u (4H, H), fwd.b (4H,); the same for bwd; then
 head.w1, head.b1 .. head.w3, head.b3 for widths 2H -> mlp[0] -> mlp[1] -> 2.
-The loader finds them by name and hands each direction to the encoder as
-the (w, b, u) triple ``numcore.bilstm`` takes.
+The loader finds them by name.
 """
 
 from __future__ import annotations
@@ -200,7 +199,7 @@ def load_model(path):
     embedding = take("embedding", (v, d))
     g = GATES * hidden
     fwd, bwd = (
-        (take(f"{k}.w", (g, d)), take(f"{k}.b", (g,)), take(f"{k}.u", (g, hidden)))
+        (take(f"{k}.w", (g, d)), take(f"{k}.u", (g, hidden)), take(f"{k}.b", (g,)))
         for k in ("fwd", "bwd")
     )
     encoder = SentenceEncoder(vocab, embedding, fwd, bwd)

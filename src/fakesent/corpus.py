@@ -4,6 +4,8 @@ File formats:
   corpus     UTF-8 text, one sentence per line (blank lines skipped on read)
   embeddings one line per token: the token then d decimal floats, whitespace
              separated
+
+Every sentence rule lives in Sentence's constructor, which every reader uses.
 """
 
 from __future__ import annotations
@@ -32,17 +34,24 @@ MAX_TOKEN_BYTES = 0xFFFF  # a checkpoint stores each token's UTF-8 length as a u
 
 @dataclass(frozen=True)
 class Sentence:
-    """An ordered, non-empty token sequence with a corpus-unique id."""
+    """A non-empty token sequence with a corpus-unique str id; each token a str (else TypeError), non-empty
+    with no whitespace (else EmptySentence), of at most MAX_TOKEN_BYTES UTF-8 bytes (else ValueError)."""
 
     tokens: tuple[str, ...]
     id: str
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise TypeError(f"sentence id {self.id!r} is not a string")
         if len(self.tokens) == 0:
             raise EmptySentence(f"sentence {self.id!r} has no tokens")
-        for t in self.tokens:
-            if not t or t.split() != [t]:
-                raise EmptySentence(f"sentence {self.id!r} has an empty or whitespace token")
+        text = " ".join(self.tokens)  # TypeError unless every token is a str
+        if text.split() != list(self.tokens):  # equal iff every token is non-empty, with no whitespace
+            raise EmptySentence(f"sentence {self.id!r} has an empty or whitespace token")
+        raw = text if text.isascii() else text.encode("utf-8")  # a lone surrogate: UnicodeEncodeError
+        size = max(map(len, raw.split())) if len(raw) > MAX_TOKEN_BYTES else 0  # no token is longer than raw
+        if size > MAX_TOKEN_BYTES:
+            raise ValueError(f"a token of {size} UTF-8 bytes, over the {MAX_TOKEN_BYTES} a checkpoint stores")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -182,8 +191,13 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
 
 
 def load_corpus(path) -> list[Sentence]:
-    """One Sentence per non-blank line, ids being 0-based line numbers."""
-    sentences = [tokenize(line, id=str(lineno - 1)) for lineno, line in text_lines(path)]
+    """One Sentence per non-blank line, ids being 0-based line numbers; MalformedLine naming a bad line."""
+    sentences = []
+    for lineno, line in text_lines(path):
+        try:
+            sentences.append(tokenize(line, id=str(lineno - 1)))
+        except ValueError as e:
+            raise MalformedLine(f"{path}:{lineno}: {e}") from None
     if not sentences:
         raise EmptyCorpus(f"{Path(path)}: no sentences")
     return sentences

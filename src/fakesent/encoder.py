@@ -7,10 +7,9 @@ one tape record) -> ``numcore.max_over_time``.
 Layout conventions:
 
 * Gate order inside every 4H-wide block is (input, forget, output, cell
-  candidate). Each direction is held as the (w, b, u) triple of Parameters
-  that ``numcore.bilstm`` takes: input weights (4H, d), bias (4H,),
-  recurrent weights (4H, H). Checkpoints store them as w, u, b
-  (``parameters``).
+  candidate). Each direction is held as the (w, u, b) triple of Parameters
+  that ``numcore.bilstm`` takes and checkpoints store: input weights
+  (4H, d), recurrent weights (4H, H), bias (4H,).
 * The backward direction consumes tokens in reverse order; its state after
   reading tokens n-1 .. t is aligned to position t before concatenation,
   so the per-step concatenated state at t sees the full prefix (forward)
@@ -34,7 +33,7 @@ from .corpus import Sentence, Vocabulary
 from .errors import EmptyDataset, ShapeMismatch
 
 GATES = 4
-Direction = tuple[nc.Parameter, nc.Parameter, nc.Parameter]  # (w, b, u)
+Direction = tuple[nc.Parameter, nc.Parameter, nc.Parameter]  # (w, u, b)
 
 
 def init_direction(prefix: str, dim: int, hidden: int, rng: np.random.Generator, dtype) -> Direction:
@@ -45,7 +44,7 @@ def init_direction(prefix: str, dim: int, hidden: int, rng: np.random.Generator,
     u = rng.uniform(-k, k, size=(GATES * hidden, hidden)).astype(dtype)
     b = np.zeros(GATES * hidden, dtype=dtype)
     b[hidden : 2 * hidden] = 1.0
-    return nc.Parameter(f"{prefix}.w", w), nc.Parameter(f"{prefix}.b", b), nc.Parameter(f"{prefix}.u", u)
+    return nc.Parameter(f"{prefix}.w", w), nc.Parameter(f"{prefix}.u", u), nc.Parameter(f"{prefix}.b", b)
 
 
 class SentenceEncoder:
@@ -57,7 +56,7 @@ class SentenceEncoder:
         self.fwd = fwd
         self.bwd = bwd
         self.dim = embedding.value.shape[1]
-        self.hidden = fwd[2].value.shape[1]
+        self.hidden = fwd[1].value.shape[1]
 
     @classmethod
     def create(
@@ -87,8 +86,8 @@ class SentenceEncoder:
         return 2 * self.hidden
 
     def parameters(self) -> list[nc.Parameter]:
-        """Checkpoint order: embedding, then per direction w, u, b."""
-        return [self.embedding] + [p for w, b, u in (self.fwd, self.bwd) for p in (w, u, b)]
+        """Checkpoint order: embedding, then each direction's (w, u, b)."""
+        return [self.embedding, *self.fwd, *self.bwd]
 
     def prepare_batch(self, sentences: Sequence[Sentence]) -> tuple[np.ndarray, np.ndarray]:
         """Token-index matrix (batch, max_len) padded with PAD, plus lengths."""

@@ -7,6 +7,8 @@ position. Positions are 0-based everywhere, including in serialized records.
 Dataset records are JSON objects, one per line:
     {"id", "tokens", "label", "source_id", "strategy", "i", "j"}
 with strategy/i/j absent for real records and j absent for drop records.
+The record rules live in the constructors every caller uses: Sentence (id,
+tokens), CorruptionRecord (strategy, positions), LabeledExample (label, source size).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import MAX_TOKEN_BYTES, Sentence, text_lines
+from .corpus import Sentence, text_lines
 from .errors import EmptyDataset, EmptySentence, MalformedLine, NoDistinctPair, TooShort
 
 REAL = 1
@@ -35,21 +37,48 @@ _MAX_PAIR_DRAWS = 10
 
 @dataclass(frozen=True)
 class CorruptionRecord:
+    """How a fake was made: a strategy of STRATEGIES and int source positions >= 0,
+    a shuffle's two distinct i and j or a drop's i alone (else ValueError)."""
+
     strategy: str
     i: int
     j: int | None = None  # shuffle only
 
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.strategy == WORD_DROP and self.j is not None:
+            raise ValueError("a drop record has no j")
+        positions = {"i": self.i} if self.strategy == WORD_DROP else {"i": self.i, "j": self.j}
+        for name, value in positions.items():
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} = {value!r} is not a position")
+        if self.i == self.j:
+            raise ValueError("a shuffle swaps two distinct positions")
+
 
 @dataclass(frozen=True)
 class LabeledExample:
+    """A sentence labelled the int REAL or FAKE, FAKE iff it has a record, whose positions lie in the
+    source (str ``source_id``): n tokens for a shuffle, n + 1 for a drop (else ValueError or TypeError)."""
+
     sentence: Sentence
     label: int
     record: CorruptionRecord | None
     source_id: str
 
     def __post_init__(self):
+        if type(self.label) is not int or self.label not in (REAL, FAKE):
+            raise ValueError(f"label {self.label!r} is neither {FAKE} (fake) nor {REAL} (real)")
         if (self.label == FAKE) != (self.record is not None):
             raise ValueError("label FAKE iff a corruption record is present")
+        if not isinstance(self.source_id, str):
+            raise TypeError(f"source_id {self.source_id!r} is not a string")
+        if self.record is not None:
+            size = len(self.sentence) + (self.record.strategy == WORD_DROP)
+            for name, value in (("i", self.record.i), ("j", self.record.j)):
+                if value is not None and value >= size:
+                    raise ValueError(f"{name} = {value!r} is not a position of the {size}-token source")
 
 
 def swap_positions(s: Sentence, i: int, j: int, id: str) -> Sentence:
@@ -154,52 +183,14 @@ def example_to_json(ex: LabeledExample) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
-def _record_from_json(obj: dict, n_tokens: int) -> CorruptionRecord:
-    """The corruption record of a FAKE line whose sentence has ``n_tokens``.
-
-    Positions index the source sentence: a shuffle keeps its length and
-    swaps two distinct positions, a drop removed one token and has no j.
-    """
-    strategy = obj["strategy"]
-    if strategy == WORD_SHUFFLE:
-        positions, size = {"i": obj["i"], "j": obj["j"]}, n_tokens
-    elif strategy == WORD_DROP:
-        if "j" in obj:
-            raise ValueError("a drop record has no j")
-        positions, size = {"i": obj["i"]}, n_tokens + 1
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    for name, value in positions.items():
-        if type(value) is not int or not 0 <= value < size:
-            raise ValueError(f"{name} = {value!r} is not a position of the {size}-token source")
-    if strategy == WORD_SHUFFLE and positions["i"] == positions["j"]:
-        raise ValueError("a shuffle swaps two distinct positions")
-    return CorruptionRecord(strategy, positions["i"], positions.get("j"))
-
-
 def example_from_json(line: str) -> LabeledExample:
-    """Parse one record; MalformedLine unless ``example_to_json`` could have
-    written it for an example of ``build_dataset``."""
+    """Parse one record; MalformedLine naming the rule it breaks unless its fields make a LabeledExample."""
     try:
         obj = json.loads(line)
-        tokens, label = obj["tokens"], obj["label"]
-        if type(label) is not int or label not in (REAL, FAKE):
-            raise ValueError(f"label {label!r} is neither {FAKE} (fake) nor {REAL} (real)")
-        if not isinstance(tokens, list):
+        if not isinstance(obj["tokens"], list):  # tuple("abc") would pass Sentence
             raise ValueError("tokens must be a list of strings")
-        try:
-            sent = Sentence(tuple(tokens), obj["id"])
-        except AttributeError:  # Sentence splits every token, and only a str has split()
-            raise ValueError("tokens must be a list of strings") from None
-        if len(line) > MAX_TOKEN_BYTES // 4:  # a token has at most its line's characters, each of at most 4 UTF-8 bytes
-            size = max(len(t.encode("utf-8")) for t in tokens)
-            if size > MAX_TOKEN_BYTES:
-                raise ValueError(f"a token of {size} UTF-8 bytes, over the {MAX_TOKEN_BYTES} a checkpoint stores")
-        record = _record_from_json(obj, len(tokens)) if "strategy" in obj else None
-        source_id = obj["source_id"]
-        if not (isinstance(sent.id, str) and isinstance(source_id, str)):
-            raise ValueError("id and source_id must be strings")
-        return LabeledExample(sent, label, record, source_id)
+        record = CorruptionRecord(obj["strategy"], obj["i"], obj.get("j")) if "strategy" in obj else None
+        return LabeledExample(Sentence(tuple(obj["tokens"]), obj["id"]), obj["label"], record, obj["source_id"])
     except KeyError as e:
         raise MalformedLine(f"bad dataset record: missing field {e}")
     except (ValueError, TypeError, EmptySentence, RecursionError) as e:  # RecursionError: JSON too deep

@@ -313,7 +313,7 @@ def tanh(tape: Tape | None, x: Tensor) -> Tensor:
     return _out(tape, out_d, (x,), lambda g: (g * (1.0 - out_d * out_d),))
 
 
-def _lstm_forward(xp: np.ndarray, active: list[int], w: np.ndarray, b: np.ndarray, u: np.ndarray):
+def _lstm_forward(xp: np.ndarray, active: list[int], w: np.ndarray, u: np.ndarray, b: np.ndarray):
     """One direction over packed inputs xp (N, d) from a zero state.
 
     Step s reads the next ``active[s]`` rows of xp, one per row still running
@@ -352,7 +352,7 @@ def _lstm_backward(
     dstates: np.ndarray, xp: np.ndarray, active: list[int], w: np.ndarray | None, u: np.ndarray, saved
 ):
     """Backpropagation through time for one direction over ``_lstm_forward``'s
-    packed layout: (dxp, dw, db, du), dxp (N, d) like xp, or None without ``w``."""
+    packed layout: (dxp, dw, du, db), dxp (N, d) like xp, or None without ``w``."""
     acts, cells, tcs, states = saved
     hidden = u.shape[1]
     dproj = np.empty_like(acts)
@@ -382,7 +382,7 @@ def _lstm_backward(
         dh_next = dpre @ u
         dc_next, f_next = dc, f
         hi = lo
-    return None if w is None else dproj @ w, _tmm(dproj, xp), dproj.sum(axis=0), _tmm(dproj, h_prev)
+    return None if w is None else dproj @ w, _tmm(dproj, xp), _tmm(dproj, h_prev), dproj.sum(axis=0)
 
 
 def bilstm(
@@ -390,8 +390,8 @@ def bilstm(
 ) -> Tensor:
     """Bidirectional LSTM over a padded (batch, T, d) input: (batch, T, 2H) states.
 
-    ``fwd`` and ``bwd`` are each a direction's (w, b, u): input weights
-    (4H, d), bias (4H,) and recurrent weights (4H, H). Each row runs for its
+    ``fwd`` and ``bwd`` are each a direction's (w, u, b): input weights
+    (4H, d), recurrent weights (4H, H) and bias (4H,). Each row runs for its
     own ``lengths[r]`` steps and no further: ``out[r, t]`` is the forward
     state after the prefix up to t, then the backward state after the
     suffix from t, for t < lengths[r], and exactly 0 at the padded
@@ -404,11 +404,11 @@ def bilstm(
     xd = x.data
     lengths = _check_lengths(xd.shape, lengths)
     bsz, t, d = xd.shape
-    hidden = fwd[2].data.shape[-1]
-    shapes = ((4 * hidden, d), (4 * hidden,), (4 * hidden, hidden))
+    hidden = fwd[1].data.shape[-1]
+    shapes = ((4 * hidden, d), (4 * hidden, hidden), (4 * hidden,))
     for weights in (fwd, bwd):
         if tuple(p.data.shape for p in weights) != shapes:
-            raise ShapeMismatch(f"bilstm (w, b, u) {[p.data.shape for p in weights]}, want {shapes}")
+            raise ShapeMismatch(f"bilstm (w, u, b) {[p.data.shape for p in weights]}, want {shapes}")
 
     order = np.argsort(-lengths, kind="stable")
     steps, pos = np.nonzero(lengths[order][None, :] > np.arange(t)[:, None])
@@ -419,9 +419,9 @@ def bilstm(
 
     out_d = np.zeros((bsz, t, 2 * hidden), dtype=xd.dtype)
     saved = []
-    for k, (w, b, u) in enumerate((fwd, bwd)):
+    for k, (w, u, b) in enumerate((fwd, bwd)):
         xp = xd[where[k]]
-        runs = _lstm_forward(xp, active, w.data, b.data, u.data)
+        runs = _lstm_forward(xp, active, w.data, u.data, b.data)
         out_d[(*where[k], slice(k * hidden, (k + 1) * hidden))] = runs[3]
         if tape is not None:
             saved.append((xp, runs))
@@ -432,13 +432,13 @@ def bilstm(
     def back(g):
         dx = None if frozen_x else np.zeros_like(xd)  # a frozen input takes no gradient
         grads = []
-        for k, (w, _, u) in enumerate((fwd, bwd)):
+        for k, (w, u, _) in enumerate((fwd, bwd)):
             xp, runs = saved[k]
             dstates = g[(*where[k], slice(k * hidden, (k + 1) * hidden))]
-            dxp, *dwbu = _lstm_backward(dstates, xp, active, None if frozen_x else w.data, u.data, runs)
+            dxp, *dwub = _lstm_backward(dstates, xp, active, None if frozen_x else w.data, u.data, runs)
             if dx is not None:
                 dx[where[k]] += dxp
-            grads += dwbu
+            grads += dwub
         return (dx, *grads)
 
     return _out(tape, out_d, (x, *fwd, *bwd), back)

@@ -194,16 +194,12 @@ class ProbeResult:
 @dataclass(frozen=True)
 class LogisticFit:
     """One fitted probe: weights (d, K), bias (K,), whether the gradient norm
-    fell below the tolerance, and the Newton steps taken. It unpacks as
-    ``w, b, converged``."""
+    fell below the tolerance, and the Newton steps taken."""
 
     w: np.ndarray
     b: np.ndarray
     converged: bool
     iterations: int
-
-    def __iter__(self):
-        return iter((self.w, self.b, self.converged))
 
 
 def fit_logistic(

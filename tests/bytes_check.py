@@ -3,9 +3,10 @@
 A change that claims to leave every output byte-identical runs this script
 on the parent commit and on the change, and compares the printed lines. On
 two seeded corpora of uniformly drawn words (train and valid) it runs
-``gen-fakes`` on each, ``train`` in float32, in float64 and in float32 with
-``--freeze-embeddings``, then ``encode``, ``evaluate`` and ``probe`` with each
-of the three models. Each command runs in its own subprocess, once with 1
+``gen-fakes`` on each, and once more on train with two fakes per real
+sentence (``build_dataset``'s multi-fake loop); then ``train`` in float32,
+in float64 and in float32 with ``--freeze-embeddings``, and ``encode``,
+``evaluate`` and ``probe`` with each of the three models. Each command runs in its own subprocess, once with 1
 and once with 2 OpenBLAS threads. Paths are relative to a fresh directory,
 so the written ``.config`` files do not depend on where it is.
 
@@ -42,6 +43,8 @@ def pipeline() -> list[list[str]]:
     calls = [
         ["gen-fakes", "--strategy", "shuffle", "--seed", "3", "--in", "train.txt", "--out", "train.jsonl"],
         ["gen-fakes", "--strategy", "drop", "--seed", "4", "--in", "valid.txt", "--out", "valid.jsonl"],
+        ["gen-fakes", "--strategy", "shuffle", "--fakes-per-real", "2", "--seed", "6", "--in", "train.txt",
+         "--out", "train-2fakes.jsonl"],
     ]
     for name, flags in MODELS.items():
         calls += [

@@ -285,6 +285,40 @@ def test_train_on_a_token_a_checkpoint_cannot_store_stops_before_writing(tiny_co
     assert not any(p.exists() for p in (out, tmp_path / "m.ckpt.config", tmp_path / "m.jsonl"))
 
 
+def test_a_token_a_checkpoint_cannot_store_is_one_data_error_line_naming_the_corpus_line(
+        tiny_corpus, tmp_path, capsys):
+    # every command that reads a corpus stops at the line, before writing anything
+    corpus = tmp_path / "long.txt"
+    corpus.write_text("\n".join(tiny_corpus.read_text().splitlines()[:60] + ["a " + "x" * 70000 + " b"]) + "\n")
+    rng = np.random.default_rng(2)
+    vocab = build_vocab(load_corpus(tiny_corpus))
+    model = tmp_path / "m.ckpt"
+    save_model(model, DetectorModel.create(SentenceEncoder.create(vocab, init_embeddings(vocab, 4, rng), 3, rng),
+                                           4, 2, rng))
+    out = tmp_path / "out"
+    for argv in (["gen-fakes", "--strategy", "shuffle", "--seed", 3, "--in", corpus, "--out", out],
+                 ["encode", "--model", model, "--in", corpus, "--out", out],
+                 ["probe", "--model", model, "--corpus", corpus, "--seed", 2, "--report", out]):
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err == (f"data-error: {corpus}:61: "
+                                           "a token of 70000 UTF-8 bytes, over the 65535 a checkpoint stores\n")
+        assert not out.exists()
+
+
+def test_train_on_a_token_with_no_utf8_encoding_stops_before_training(tiny_corpus, tmp_path, capsys):
+    # a lone surrogate escape has no UTF-8 form, so no checkpoint could store the vocabulary
+    data = tmp_path / "data.jsonl"
+    assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 3, "--in", tiny_corpus, "--out", data]) == 0
+    n = len(data.read_text().splitlines())
+    with data.open("a", encoding="utf-8") as f:
+        f.write('{"id": "s", "tokens": ["a", "\\ud800"], "label": 1, "source_id": "s"}\n')
+    capsys.readouterr()
+    assert run_cli(["train", "--data", data, "--valid", data, "--dim", 4, "--hidden", 4, "--mlp", "4,4",
+                    "--epochs", 1, "--seed", 5, "--out", tmp_path / "m.ckpt"]) == 3
+    one_data_error_line(capsys, f"{data}:{n + 1}: bad dataset record:", "surrogates not allowed")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_divergence_found_by_validation_is_one_numerical_error_line(tiny_corpus, tmp_path, capsys):
     data = tmp_path / "data.jsonl"
     assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 3,

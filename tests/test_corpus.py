@@ -51,6 +51,18 @@ def test_sentence_rejects_empty_and_whitespace_tokens():
         cp.Sentence(("a b",), "x")
 
 
+def test_sentence_rejects_what_no_reader_or_checkpoint_takes():
+    with pytest.raises(TypeError):
+        cp.Sentence(("a",), 3)
+    with pytest.raises(TypeError):
+        cp.Sentence(("a", b"b"), "x")
+    with pytest.raises(ValueError, match="^a token of 65536 UTF-8 bytes, over the 65535 a checkpoint stores$"):
+        cp.Sentence(("a", "\u00e9" * 32768), "x")
+    with pytest.raises(ValueError, match="surrogates not allowed"):  # no UTF-8 bytes at all
+        cp.Sentence(("a", "\ud800"), "x")
+    assert cp.Sentence(("a", "\u00e9" * 32767 + "a"), "x").tokens[1].endswith("a")
+
+
 def test_build_vocab_frequency_order():
     vocab = cp.build_vocab(sentences([["a", "b"], ["a"]]), min_count=1)
     assert len(vocab) == 4

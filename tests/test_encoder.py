@@ -34,7 +34,7 @@ def rand_sentence(rng, vocab, n):
 
 
 def zero_direction(dim, hidden, dtype=np.float64):
-    """A direction's (w, b, u) Parameters, all zero."""
+    """A direction's (w, u, b) Parameters, all zero."""
     d = init_direction("z", dim, hidden, np.random.default_rng(0), dtype)
     for p in d:
         p.value[...] = 0.0
@@ -57,7 +57,7 @@ def scalar_lstm_oracle(xs, w, u, b):
 
 
 def direction_states(d, xs):
-    """bilstm over one sequence of inputs xs (T, dim) with d's (w, b, u) in
+    """bilstm over one sequence of inputs xs (T, dim) with d's (w, u, b) in
     both directions: the (T, H) forward states and the backward ones in
     reading order (last token first)."""
     x = constant(np.asarray(xs, dtype=np.float64).reshape(1, len(xs), -1))
@@ -74,7 +74,7 @@ def test_lstm_step_all_zero_parameters():
     for states in direction_states(d, xs):
         assert np.array_equal(states, np.zeros((2, 2)))
     # a candidate bias b_g gives g = tanh(b_g): c_t = 0.5 c_prev + 0.5 g and h_t = 0.5 tanh(c_t)
-    d[1].value[6:] = [0.8, -0.6]  # b
+    d[2].value[6:] = [0.8, -0.6]  # b
     g = np.tanh(np.array([0.8, -0.6]))
     for states in direction_states(d, xs):
         c = np.zeros(2)
@@ -98,8 +98,8 @@ def test_lstm_step_scalar_sequence_matches_hand_oracle():
     w, u, b = [1.0, -0.5, 0.3, 0.8], [0.2, 0.4, -0.3, 0.6], [0.1, 1.0, -0.2, 0.05]
     d = zero_direction(dim=1, hidden=1)
     d[0].value[:, 0] = w
-    d[1].value[:] = b
-    d[2].value[:, 0] = u
+    d[1].value[:, 0] = u
+    d[2].value[:] = b
     xs = [0.7, -0.3, 1.2, 0.0, -2.0]
     fwd, bwd = direction_states(d, xs)
     for states, seq in ((fwd, xs), (bwd, xs[::-1])):
@@ -321,7 +321,7 @@ def test_loop_matches_manual_lstm_step_sequence():
     _, u = enc.forward_batch(None, idx, lengths)
     # forward half, recomputed step by step through the unfused cell
     emb = enc.embedding.value[idx[0]]
-    w, b, u_rec = (constant(p.value) for p in enc.fwd)
+    w, u_rec, b = (constant(p.value) for p in enc.fwd)
     w_t = constant(w.data.T)
     h = constant(np.zeros((1, enc.hidden)))
     c = constant(np.zeros((1, enc.hidden)))

@@ -7,7 +7,7 @@ import pytest
 
 from fakesent import fakegen as fg
 from fakesent.corpus import Sentence
-from fakesent.errors import EmptyDataset, MalformedLine, NoDistinctPair, TooShort
+from fakesent.errors import EmptyDataset, EmptySentence, MalformedLine, NoDistinctPair, TooShort
 from synthetic import dp_edit_distance
 
 
@@ -218,10 +218,12 @@ _REAL_LINE = '{"id": "0", "tokens": ["a", "b", "c"], "label": 1, "source_id": "0
         '{"id": "0:f0", "tokens": ["a", "b"], "label": 1, "source_id": "0", "strategy": "drop", "i": 0}',
         '{"id": "0", "tokens": "abc", "label": 1, "source_id": "0"}',
         '{"id": "0", "tokens": ["a", 2], "label": 1, "source_id": "0"}',
+        '{"id": "0", "tokens": ["a", "\\ud800"], "label": 1, "source_id": "0"}',
         '{"id": "0", "tokens": [], "label": 1, "source_id": "0"}',
         '{"id": "0", "tokens": ["a"], "label": 1}',
         '{"id": [1, 2], "tokens": ["a"], "label": 1, "source_id": null}',
         '{"id": 3, "tokens": ["b", "a"], "label": 0, "source_id": 4, "strategy": "shuffle", "i": 0, "j": 1}',
+        '{"id": 7, "tokens": ["a", "b", "c"], "label": 1, "source_id": "0"}',
         '{"id": "0", "tokens": ["a", "b", "c"], "label": 1, "source_id": null}',
         '["a", "b"]',
         "not json",
@@ -230,6 +232,13 @@ _REAL_LINE = '{"id": "0", "tokens": ["a", "b", "c"], "label": 1, "source_id": "0
 def test_example_from_json_rejects_records_build_dataset_cannot_write(line):
     with pytest.raises(MalformedLine):
         fg.example_from_json(line)
+    # the constructors hold the rules, so a library caller handing them the same fields is refused too
+    obj = json.loads(line) if line.startswith("{") else None
+    if obj is None or not isinstance(obj["tokens"], list) or "source_id" not in obj:
+        return  # no fields to hand over: the reader alone rejects the line
+    with pytest.raises((ValueError, TypeError, EmptySentence)):
+        record = fg.CorruptionRecord(obj["strategy"], obj["i"], obj.get("j")) if "strategy" in obj else None
+        fg.LabeledExample(Sentence(tuple(obj["tokens"]), obj["id"]), obj["label"], record, obj["source_id"])
 
 
 def test_example_from_json_accepts_edge_positions():

@@ -238,11 +238,11 @@ def test_max_over_time_masks_padding():
 
 
 def bilstm_params(rng, d, hidden, dtype=np.float64, scale=0.5):
-    """fwd and bwd (w, b, u) Parameters."""
+    """fwd and bwd (w, u, b) Parameters."""
     return [
         nc.Parameter(f"{prefix}.{name}", (scale * rng.standard_normal(shape)).astype(dtype))
         for prefix in ("fwd", "bwd")
-        for name, shape in (("w", (4 * hidden, d)), ("b", (4 * hidden,)), ("u", (4 * hidden, hidden)))
+        for name, shape in (("w", (4 * hidden, d)), ("u", (4 * hidden, hidden)), ("b", (4 * hidden,)))
     ]
 
 
@@ -294,19 +294,19 @@ def test_bilstm_overflow_raises():
     # step 0 saturates every gate (h = tanh(1) in both units); step 1's
     # recurrent product 2 * tanh(1) * 1.5e308 overflows
     x = constant(np.ones((1, 2, 1)))
-    weights = (constant(np.full((8, 1), 50.0)), constant(np.zeros(8)), constant(np.full((8, 2), 1.5e308)))
+    weights = (constant(np.full((8, 1), 50.0)), constant(np.full((8, 2), 1.5e308)), constant(np.zeros(8)))
     with pytest.raises(NonFiniteValue):
         nc.bilstm(None, x, np.array([2]), weights, weights)
     assert np.all(np.isfinite(nc.bilstm(None, constant(x.data[:, :1]), np.array([1]), weights, weights).data))
     # the input projection itself overflows: 10 * 1e308
-    big = (constant(np.full((8, 1), 1e308)), weights[1], constant(np.zeros((8, 2))))
+    big = (constant(np.full((8, 1), 1e308)), constant(np.zeros((8, 2))), weights[2])
     with pytest.raises(NonFiniteValue):
         nc.bilstm(None, constant(np.full((1, 1, 1), 10.0)), np.array([1]), big, big)
 
 
 def test_bilstm_shape_mismatch():
     x, lengths = constant(np.zeros((2, 3, 5))), np.array([3, 1])
-    good = tuple(constant(np.zeros(shape)) for shape in ((8, 5), (8,), (8, 2)))
+    good = tuple(constant(np.zeros(shape)) for shape in ((8, 5), (8, 2), (8,)))
     for bad_x, bad_lengths, bad_fwd, bad_bwd in [
         (constant(np.zeros((6, 5))), lengths, good, good),  # input not 3-D
         (x, np.array([3, 1, 2]), good, good),  # one length per row
@@ -318,9 +318,9 @@ def test_bilstm_shape_mismatch():
         (x, lengths.astype(np.uint64), good, good),  # uint64, which int64 does not hold
         (constant(np.zeros((0, 3, 5))), np.zeros(0, dtype=np.int64), good, good),  # an empty batch
         (x, lengths, (constant(np.zeros((8, 4))),) + good[1:], good),  # W not (4H, d)
-        (x, lengths, good, good[:1] + (constant(np.zeros(12)),) + good[2:]),  # b not (4H,)
-        (x, lengths, good, tuple(constant(np.zeros(s)) for s in ((12, 5), (12,), (12, 3)))),  # H differs
-        (x, lengths, good[:2] + (constant(np.zeros((8, 3))),), good),  # U is not (4H, H)
+        (x, lengths, good, good[:2] + (constant(np.zeros(12)),)),  # b not (4H,)
+        (x, lengths, good, tuple(constant(np.zeros(s)) for s in ((12, 5), (12, 3), (12,)))),  # H differs
+        (x, lengths, good[:1] + (constant(np.zeros((8, 3))),) + good[2:], good),  # U is not (4H, H)
     ]:
         with pytest.raises(ShapeMismatch):
             nc.bilstm(None, bad_x, bad_lengths, bad_fwd, bad_bwd)

@@ -185,8 +185,8 @@ def test_probe_loss_matches_scipy_oracle():
     n, d, c, l2 = 60, 3, 3, 0.05
     x = rng.standard_normal((n, d))
     y = rng.integers(0, c, size=n)
-    w, b, converged = pb.fit_logistic(x, y, c, l2, max_iterations=5000, tolerance=1e-10)
-    assert converged
+    fit = pb.fit_logistic(x, y, c, l2, max_iterations=5000, tolerance=1e-10)
+    assert fit.converged
 
     onehot = np.zeros((n, c))
     onehot[np.arange(n), y] = 1.0
@@ -208,7 +208,7 @@ def test_probe_loss_matches_scipy_oracle():
         pack_loss_grad, np.zeros(d * c + c), jac=True, method="L-BFGS-B",
         options={"maxiter": 5000, "ftol": 1e-15, "gtol": 1e-12},
     )
-    ours = pack_loss_grad(np.concatenate([w.ravel(), b]))[0]
+    ours = pack_loss_grad(np.concatenate([fit.w.ravel(), fit.b]))[0]
     assert abs(ours - res.fun) < 1e-6
 
 
@@ -221,10 +221,10 @@ def test_fit_logistic_keeps_last_accepted_point_when_line_search_underflows():
     x = 1e100 * rng.standard_normal((20, 2))
     y = rng.integers(0, 2, size=20)
     with np.errstate(over="ignore"):  # the overflow is the input's point
-        w, b, converged = pb.fit_logistic(x, y, 2, l2=0.0, max_iterations=5, tolerance=1e-5)
-    assert not converged
-    assert np.array_equal(w, np.zeros((2, 2)))
-    assert np.array_equal(b, np.zeros(2))
+        fit = pb.fit_logistic(x, y, 2, l2=0.0, max_iterations=5, tolerance=1e-5)
+    assert not fit.converged
+    assert np.array_equal(fit.w, np.zeros((2, 2)))
+    assert np.array_equal(fit.b, np.zeros(2))
 
 
 def test_fit_logistic_memory_stays_bounded_at_paper_width():
@@ -251,9 +251,9 @@ def test_larger_penalty_never_grows_weight_norm():
     y = rng.integers(0, c, size=n)
     norms = []
     for l2 in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-        w, _, converged = pb.fit_logistic(x, y, c, l2, max_iterations=5000, tolerance=1e-8)
-        assert converged
-        norms.append(np.linalg.norm(w))
+        fit = pb.fit_logistic(x, y, c, l2, max_iterations=5000, tolerance=1e-8)
+        assert fit.converged
+        norms.append(np.linalg.norm(fit.w))
     assert all(a >= b - 1e-9 for a, b in zip(norms, norms[1:]))
 
 
@@ -353,12 +353,12 @@ def test_every_desk_probe_fit_converges(monkeypatch):
     assert [entry["l2"] for entry in sweep] == grid * len(pb.TASKS)
     assert all(entry["converged"] for entry in sweep)
     assert [entry["iterations"] for entry in sweep] == [fit.iterations for *_, fit in fits]
-    for x, y, l2, tolerance, (w, b, _) in fits:
-        logits = x @ w + b
+    for x, y, l2, tolerance, fit in fits:
+        logits = x @ fit.w + fit.b
         r = np.exp(logits - logits.max(axis=1, keepdims=True))
         r /= r.sum(axis=1, keepdims=True)
         r[np.arange(len(y)), y] -= 1.0
-        grad = np.concatenate([(x.T @ r / len(y) + 2 * l2 * w).ravel(), r.mean(axis=0)])
+        grad = np.concatenate([(x.T @ r / len(y) + 2 * l2 * fit.w).ravel(), r.mean(axis=0)])
         assert np.linalg.norm(grad) < tolerance
 
 

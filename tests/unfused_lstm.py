@@ -49,7 +49,7 @@ def bilstm_unfused(tape, x, lengths, fwd, bwd):
     """Drop-in for ``nc.bilstm``: (batch, T, 2H) states of both directions."""
     b, t, d = x.data.shape
     halves = []
-    for (w, bias, u), reverse in ((fwd, False), (bwd, True)):
+    for (w, u, bias), reverse in ((fwd, False), (bwd, True)):
         xs = nc.reverse_within(tape, x, lengths) if reverse else x
         proj = nc.add(tape, nc.matmul(tape, nc.reshape(tape, xs, (b * t, d)), transpose(tape, w)), bias)
         states = lstm_sequence_unfused(tape, nc.reshape(tape, proj, (b, t, w.data.shape[0])), u)
