@@ -120,16 +120,13 @@ class DetectorModel:
         logits = self.head.forward(tape, z)
         return nc.softmax_cross_entropy(tape, logits, labels)
 
-    def predict_proba(self, sentences: Sequence[Sentence], batch_size: int = 64) -> np.ndarray:
+    def predict_proba(self, sentences: Sequence[Sentence]) -> np.ndarray:
         """p(REAL) per sentence: the head over the ``encode_batch`` encodings.
 
         The head's products are row-tiled, so a row's value does not depend
         on the rows that come with it."""
-        logits = self.head.forward(None, nc.Tensor(self.encoder.encode_batch(sentences, batch_size)))
+        logits = self.head.forward(None, nc.Tensor(self.encoder.encode_batch(sentences)))
         return nc.log_softmax(logits.data)[1][:, REAL].astype(np.float64)
-
-    def predict(self, sentences: Sequence[Sentence], batch_size: int = 64) -> np.ndarray:
-        return (self.predict_proba(sentences, batch_size) >= 0.5).astype(np.int64)
 
 
 @dataclass
@@ -192,7 +189,7 @@ def train(
                     nc.sgd_step(params, lr)
                     loss_sum += loss.data.item() * len(batch_ids)
                     correct += int(((probs[:, REAL] >= 0.5).astype(np.int64) == labels).sum())
-                valid_acc = evaluate(model, valid_data, cfg.batch_size).accuracy
+                valid_acc = evaluate(model, valid_data).accuracy
             except NonFiniteValue as e:
                 raise DivergedTraining(f"epoch {epoch}: {e}") from e
             stats = EpochStats(
@@ -228,12 +225,12 @@ class EvalMetrics:
     count: int
 
 
-def evaluate(model: DetectorModel, data: Sequence[LabeledExample], batch_size: int = 64) -> EvalMetrics:
-    """Accuracy and per-class precision/recall in one pass."""
+def evaluate(model: DetectorModel, data: Sequence[LabeledExample]) -> EvalMetrics:
+    """Accuracy and per-class precision/recall in one pass; REAL where ``predict_proba`` >= 0.5."""
     if len(data) == 0:
         raise EmptyDataset("no examples to evaluate")
     labels = np.array([ex.label for ex in data], dtype=np.int64)
-    preds = model.predict([ex.sentence for ex in data], batch_size)
+    preds = (model.predict_proba([ex.sentence for ex in data]) >= 0.5).astype(np.int64)
     per_class = {}
     for cls, name in ((1, "real"), (0, "fake")):
         tp = int(((preds == cls) & (labels == cls)).sum())

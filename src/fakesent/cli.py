@@ -16,7 +16,7 @@ parse to tuples. Each run with a file output writes its fully resolved
 config next to that output as ``<output>.config`` (with the tool version
 in a comment, lists comma-joined), and resolving that file again
 reproduces the same settings. A flag has one spelling (no abbreviations),
-and a run that would write one file twice or over its input stops first.
+and a run that would write one file twice or over a file it reads stops first.
 
 Exit codes: 0 success, 2 usage or config error (including out-of-range
 values), 3 data error (including files that cannot be read or written),
@@ -81,7 +81,11 @@ _SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _RATE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _F32_MAX = float(np.finfo(np.float32).max)  # the largest scale whose table is finite in either precision
 _EMB_SCALE = _checked(float, lambda v: 0 < v <= _F32_MAX, f"a number in (0, {_F32_MAX!r}]")
-_PATH = _checked(str, bool, "a non-empty path")
+# a path's parser states its role: a file the run reads, its output (with the
+# resolved config written next to it as <output>.config), or another file it writes
+_READ = _checked(str, bool, "a non-empty path")
+_OUTPUT = _checked(str, bool, "a non-empty path")
+_WRITE = _checked(str, bool, "a non-empty path")
 
 REQUIRED = object()  # the default of a key the command cannot run without
 
@@ -92,13 +96,13 @@ SCHEMAS = {
         "strategy": (_checked(str, lambda v: v in fg.STRATEGIES, f"one of {fg.STRATEGIES}"), REQUIRED),
         "fakes_per_real": (_COUNT, 1),
         "seed": (_SEED, REQUIRED),
-        "in": (_PATH, REQUIRED),
-        "out": (_PATH, REQUIRED),
+        "in": (_READ, REQUIRED),
+        "out": (_OUTPUT, REQUIRED),
     },
     "train": {
-        "data": (_PATH, REQUIRED),
-        "valid": (_PATH, REQUIRED),
-        "embeddings": (_PATH, None),
+        "data": (_READ, REQUIRED),
+        "valid": (_READ, REQUIRED),
+        "embeddings": (_READ, None),
         "dim": (_COUNT, 300),
         "emb_scale": (_EMB_SCALE, 1.0),
         "min_count": (_COUNT, 1),
@@ -114,30 +118,28 @@ SCHEMAS = {
                       "float32"),
         "freeze_embeddings": (_bool, cl.TrainConfig.freeze_embeddings),
         "seed": (_SEED, REQUIRED),
-        "out": (_PATH, REQUIRED),
-        "metrics": (_PATH, None),
+        "out": (_OUTPUT, REQUIRED),
+        "metrics": (_WRITE, None),
     },
     "encode": {
-        "model": (_PATH, REQUIRED),
-        "in": (_PATH, REQUIRED),
-        "out": (_PATH, REQUIRED),
-        "batch": (_COUNT, 64),
+        "model": (_READ, REQUIRED),
+        "in": (_READ, REQUIRED),
+        "out": (_OUTPUT, REQUIRED),
     },
     "evaluate": {
-        "model": (_PATH, REQUIRED),
-        "data": (_PATH, REQUIRED),
-        "report": (_PATH, None),
-        "batch": (_COUNT, 64),
+        "model": (_READ, REQUIRED),
+        "data": (_READ, REQUIRED),
+        "report": (_OUTPUT, None),
     },
     "probe": {
-        "model": (_PATH, REQUIRED),
-        "corpus": (_PATH, REQUIRED),
+        "model": (_READ, REQUIRED),
+        "corpus": (_READ, REQUIRED),
         # only tasks drop blank items: "sentlen,,wc" names two tasks, "4,4," is no mlp
         "tasks": (_checked(lambda t: tuple(v.strip() for v in t.split(",") if v.strip()),
                            lambda v: len(v) > 0 and set(v) <= set(pb.TASKS),
                            f"one or more comma-separated tasks from {pb.TASKS}"), pb.TASKS),
         "seed": (_SEED, 0),
-        "report": (_PATH, REQUIRED),
+        "report": (_OUTPUT, REQUIRED),
         "l2_grid": (_checked(lambda t: tuple(map(float, t.split(","))),
                              lambda v: all(0 < x < math.inf for x in v), "comma-separated numbers > 0"),
                     pb.ProbeConfig.l2_grid),
@@ -208,14 +210,19 @@ def write_resolved_config(path, resolved: dict) -> None:
                 f.write(f"{key}={_format_value(resolved[key])}\n")
 
 
-def _check_files(cfg) -> None:
-    """Reject a run that writes one file twice or over a file it reads
-    (two inputs may be the same file: ``--data d --valid d``)."""
-    written = {f"--{key}": cfg[key] for key in ("out", "report", "metrics") if cfg.get(key)}
-    written |= {f"the config of {flag}": path + ".config"
-                for flag, path in written.items() if flag != "--metrics"}
-    read = {f"--{key}": cfg[key] for key in ("in", "data", "valid", "embeddings", "model", "corpus")
-            if cfg.get(key)}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _check_files(command: str, cfg, config) -> None:
+    """Reject a run that writes one file twice or over a file it reads: its
+    ``config`` file or a ``_READ`` path (two inputs may be the same file:
+    ``--data d --valid d``)."""
+    paths = [(_flag(key), parse, cfg[key]) for key, (parse, _) in SCHEMAS[command].items() if cfg[key]]
+    written = {flag: path for flag, parse, path in paths if parse in (_OUTPUT, _WRITE)}
+    written |= {f"the config of {flag}": path + ".config" for flag, parse, path in paths if parse is _OUTPUT}
+    read = {flag: path for flag, parse, path in paths if parse is _READ}
+    read |= {"--config": config} if config else {}
     writer = {}
     for name, path in [*written.items(), *read.items()]:
         try:  # an existing file is known by its inode, which its hard links share
@@ -280,7 +287,7 @@ def format_vector(vec: np.ndarray) -> str:
 def cmd_encode(cfg) -> int:
     model = ckpt.load_model(cfg["model"])
     corpus = load_corpus(cfg["in"])
-    vectors = model.encoder.encode_batch(corpus, batch_size=cfg["batch"])
+    vectors = model.encoder.encode_batch(corpus)
     with open(cfg["out"], "w", encoding="utf-8") as f:
         for sent, vec in zip(corpus, vectors):
             f.write(f"{sent.id} {format_vector(vec)}\n")
@@ -304,7 +311,7 @@ def _report(cfg, payload: dict) -> int:
 def cmd_evaluate(cfg) -> int:
     model = ckpt.load_model(cfg["model"])
     data = fg.load_dataset(cfg["data"])
-    return _report(cfg, asdict(cl.evaluate(model, data, batch_size=cfg["batch"])))
+    return _report(cfg, asdict(cl.evaluate(model, data)))
 
 
 def cmd_probe(cfg) -> int:
@@ -361,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in SCHEMAS.items():
         p = sub.add_parser(command, allow_abbrev=False)
-        p.add_argument("--config", default=None, help="key=value config file")
+        p.add_argument("--config", type=_READ, default=None, help="key=value config file")
         for key, (parse, default) in schema.items():
-            flag = "--" + key.replace("_", "-")
+            flag = _flag(key)
             if parse is _bool:
                 p.add_argument(flag, dest=key, action="store_const", const=True, default=None)
             else:
@@ -380,10 +387,10 @@ def main(argv=None) -> int:
     try:
         resolved = resolve_config(args.command, args.config, flags)
         if missing := [key for key, value in resolved.items() if value is REQUIRED]:
-            parser.error(f"{args.command}: --{missing[0].replace('_', '-')} is required")
+            parser.error(f"{args.command}: {_flag(missing[0])} is required")
         if args.command == "train":
             resolved["metrics"] = resolved["metrics"] or resolved["out"] + ".metrics.jsonl"
-        _check_files(resolved)
+        _check_files(args.command, resolved, args.config)
         return COMMANDS[args.command](resolved)
     except ConfigParseError as e:
         print(f"usage-error: {e}", file=sys.stderr)

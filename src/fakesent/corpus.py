@@ -10,6 +10,7 @@ Every sentence rule lives in Sentence's constructor, which every reader uses.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,7 +176,8 @@ def load_embeddings(
 
 
 def text_lines(path) -> Iterator[tuple[int, str]]:
-    """(1-based line number, line) for each non-blank line of a UTF-8 text file; MalformedLine if not UTF-8.
+    """(1-based line number, line) for each non-blank line of a UTF-8 text file; MalformedLine
+    naming the first line that is not UTF-8.
 
     Whitespace-only lines count as blank. Skipped lines keep their numbers, so each number is the
     line's place in the file. A leading byte-order mark is dropped, so a file saved with one reads
@@ -187,7 +189,11 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
                 if line.strip():
                     yield lineno, line
         except UnicodeDecodeError as e:
-            raise MalformedLine(f"{path}: not UTF-8 text ({e.reason})") from None
+            # the error knows only its byte offset in a decoded chunk: read the file again with
+            # each bad byte escaped to a lone surrogate (U+DC80..U+DCFF), and find the first one
+            with open(path, encoding="utf-8-sig", errors="surrogateescape") as again:
+                lineno = next(n for n, line in enumerate(again, start=1) if re.search("[\udc80-\udcff]", line))
+            raise MalformedLine(f"{path}:{lineno}: not UTF-8 text ({e.reason})") from None
 
 
 def load_corpus(path) -> list[Sentence]:

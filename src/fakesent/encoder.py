@@ -110,7 +110,8 @@ class SentenceEncoder:
 
     def encode_batch(self, sentences: Sequence[Sentence], batch_size: int = 64) -> np.ndarray:
         """Encodings for a list of sentences, in input order, processed in
-        padded chunks of sentences of similar length.
+        padded chunks of up to ``batch_size`` sentences of similar length
+        (every inference path in the package takes the default).
 
         Chunking is invisible: pooled values are bit-identical for any
         grouping. Each row's recurrence stops at its own length, and every

@@ -321,11 +321,10 @@ def test_evaluate_all_correct_and_constant_predictor():
         def __init__(self, preds):
             self.preds = np.asarray(preds)
 
-        def predict(self, sentences, batch_size=64):
-            return self.preds[: len(sentences)]
+        def predict_proba(self, sentences):
+            return self.preds[: len(sentences)].astype(np.float64)
 
     labels = np.array([ex.label for ex in data])
-    perfect = cl.evaluate.__wrapped__ if hasattr(cl.evaluate, "__wrapped__") else None
     # exact-match predictor
     stub = Stub(labels)
     metrics = cl.evaluate(stub, data)
@@ -347,8 +346,8 @@ def test_evaluate_matches_confusion_recount():
     preds = rng.integers(0, 2, size=1000)
 
     class Stub:
-        def predict(self, sentences, batch_size=64):
-            return preds
+        def predict_proba(self, sentences):
+            return preds.astype(np.float64)
 
     metrics = cl.evaluate(Stub(), data)
     # independent recount

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import struct
 import subprocess
@@ -155,6 +156,7 @@ def test_train_on_a_record_with_a_bad_label_is_a_data_error(tiny_corpus, tmp_pat
         ["probe", "--tasks", ""],
         ["probe", "--report", ""],
         ["train", "--metrics", ""],
+        ["train", "--config", ""],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -229,6 +231,33 @@ def test_gen_fakes_out_on_its_input_is_one_usage_error_line(tiny_corpus, capsys)
     assert tiny_corpus.read_bytes() == corpus
 
 
+@pytest.mark.parametrize(
+    "config, out, clash",
+    [("run.cfg", "run.cfg", "--out and --config"),
+     ("d.jsonl.config", "d.jsonl", "the config of --out and --config")],
+    ids=["out", "out-config"],
+)
+def test_an_output_on_the_config_file_is_one_usage_error_line(tiny_corpus, tmp_path, capsys, config, out, clash):
+    cfg = tmp_path / config
+    cfg.write_text(f"strategy=shuffle\nseed=3\nin={tiny_corpus}\n")
+    settings = cfg.read_bytes()
+    assert run_cli(["gen-fakes", "--config", cfg, "--out", tmp_path / out]) == 2
+    assert capsys.readouterr().err == f"usage-error: {clash} are the same file: {cfg}\n"
+    assert cfg.read_bytes() == settings
+
+
+@pytest.mark.parametrize("command", ["encode", "evaluate"])
+def test_inference_takes_no_batch_size(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--batch", "8"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "usage-error: fakesent: unrecognized arguments: --batch 8\n"
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("batch=64\n")  # an older release wrote this key
+    assert run_cli([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"usage-error: unknown config keys for {command}: ['batch']\n"
+
+
 def one_data_error_line(capsys, *fragments):
     err = capsys.readouterr().err
     assert err.startswith("data-error:") and err.count("\n") == 1, err
@@ -236,11 +265,20 @@ def one_data_error_line(capsys, *fragments):
 
 
 def test_non_utf8_corpus_is_a_data_error(tmp_path, capsys):
-    corpus = tmp_path / "bad.txt"
-    corpus.write_bytes(b"\xff\n")
+    lines = [f"word{i % 50} and more" for i in range(20_000)]
+    lines[15_000] = "bad \udcff byte"  # surrogateescape writes this back as the byte 0xff
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
     assert run_cli(["gen-fakes", "--strategy", "shuffle", "--seed", 1,
                     "--in", corpus, "--out", tmp_path / "d.jsonl"]) == 3
-    one_data_error_line(capsys, str(corpus), "not UTF-8")
+    one_data_error_line(capsys, f"{corpus}:15001: not UTF-8 text")
+
+
+def test_non_utf8_config_file_is_one_usage_error_line_naming_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"strategy=shuffle\r\nseed=1\rin=caf\xe9.txt\r\n")  # the byte is Latin-1
+    assert run_cli(["gen-fakes", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"usage-error: {cfg}:3: not UTF-8 text")
 
 
 def test_missing_model_is_a_data_error(tiny_corpus, tmp_path, capsys):
@@ -557,3 +595,20 @@ def test_readme_quick_start_commands_parse():
     assert {argv[0] for argv in commands} == set(cli.COMMANDS)
     for argv in commands:
         cli.build_parser().parse_args(argv)
+
+
+def test_readme_settings_tables_match_the_schemas():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Settings\n", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    for block in section.split("\n### `")[1:]:
+        command, _, body = block.partition("`\n")
+        tables[command] = re.findall(r"^\| `(--[a-z0-9-]+)` \| ([^|]+?) \|", body, re.MULTILINE)
+    assert list(tables) == list(cli.SCHEMAS)
+    for command, schema in cli.SCHEMAS.items():
+        assert [flag for flag, _ in tables[command]] == [cli._flag(key) for key in schema], command
+        for (flag, shown), (_, default) in zip(tables[command], schema.values()):
+            if default is cli.REQUIRED:
+                assert shown == "required", flag
+            elif default is not None:
+                assert shown == f"`{cli._format_value(default)}`", flag

@@ -8,10 +8,9 @@ import pytest
 
 from fakesent import numcore as nc
 from fakesent.corpus import Sentence, build_vocab, init_embeddings
-from fakesent.classifier import DetectorModel, evaluate
+from fakesent.classifier import DetectorModel
 from fakesent.encoder import SentenceEncoder, init_direction
 from fakesent.errors import EmptyDataset
-from fakesent.fakegen import REAL, LabeledExample
 from synthetic import constant
 from unfused_lstm import assert_grads_close, bilstm_unfused, lstm_cell
 
@@ -283,13 +282,8 @@ def test_empty_batch_raises():
 def test_encode_batch_rejects_a_batch_size_below_one(batch_size):
     # unchecked, -1 hands back np.empty's unwritten rows and 0 a bare range() error
     enc = make_encoder()
-    model = DetectorModel.create(enc, 5, 3, np.random.default_rng(0))
-    sents = [Sentence(("w001", "w002"), "a")]
-    examples = [LabeledExample(sents[0], REAL, None, "a")]
-    for call, items in ((enc.encode_batch, sents), (model.predict_proba, sents), (model.predict, sents),
-                        (lambda data, b: evaluate(model, data, b), examples)):
-        with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            call(items, batch_size)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        enc.encode_batch([Sentence(("w001", "w002"), "a")], batch_size)
 
 
 @pytest.mark.parametrize("hidden", [0, -1])
