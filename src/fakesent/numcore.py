@@ -48,11 +48,23 @@ guarantee of the encoder:
 * A forward product's right operand is C-contiguous (``_transposed``
   copies ``w.T`` and ``u.T``), which OpenBLAS runs faster; the tests pin
   that both layouts give equal bits at every model shape tested.
+* From ``_PARALLEL_HIDDEN`` on, an untaped ``bilstm`` projects its inputs
+  ``_ROW_TILE`` rows at a time as the steps reach them, where other calls
+  project the whole sequence at once. ``_mm`` is row-stable, so a row's
+  projection has the same bits either way. An untaped call holds the
+  current cell and state, never the per-step arrays a backward rule reads.
+* From ``_PARALLEL_HIDDEN`` on, an untaped ``bilstm`` runs its backward
+  direction on a thread of its own while the calling thread runs the
+  forward one. The threads split the directions, never a sum: each runs
+  its own direction's sequential arithmetic and writes only its own half
+  of the output. The second thread calls only private helpers of this
+  module, no op and no Tape method. Taped calls, and so backpropagation
+  through time, run on the calling thread alone.
 * All other forward ops are elementwise or pure indexing, which numpy
   evaluates value-deterministically.
 
-Every forward output of an op that computes new values (in ``bilstm``, the
-input projections and every step's pre-activation) is checked for NaN/Inf
+Every forward output of an op that computes new values (in ``bilstm``, every
+step's pre-activation, input projection included) is checked for NaN/Inf
 and raises NonFiniteValue; ops that only index or move values
 (``narrow``, ``pick``, ``rows``, ``stack``, ``reshape``, ``reverse_within``)
 are not checked.
@@ -60,6 +72,7 @@ are not checked.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -313,47 +326,97 @@ def tanh(tape: Tape | None, x: Tensor) -> Tensor:
     return _out(tape, out_d, (x,), lambda g: (g * (1.0 - out_d * out_d),))
 
 
-def _lstm_forward(xp: np.ndarray, active: list[int], w: np.ndarray, u: np.ndarray, b: np.ndarray):
-    """One direction over packed inputs xp (N, d) from a zero state.
+# Hidden width from which an untaped ``bilstm`` runs its two directions on
+# two threads. At H=32 a step is mostly Python, and two threads measured
+# slower. Taped calls stay on one thread: at H=256 a threaded training step
+# held both directions' temporary arrays at once, and peak memory rose by a
+# sixth.
+_PARALLEL_HIDDEN = 512
 
-    Step s reads the next ``active[s]`` rows of xp, one per row still running
-    (a non-increasing count), so its rows are the first ``active[s]`` of step
-    s - 1's. Per step pre = proj + h U^T, c = f * c + i * g, h = o * tanh(c),
-    gates (i, f, o, g), with proj = xp W^T + b. Returns, one row per packed
-    position, the (N, 4H) gate activations (written over proj) and the
-    (N, H) cells, tanh(cells) and states.
+
+def _each_direction(threaded: bool, run: Callable[[int], object]) -> list:
+    """[run(0), run(1)]. When ``threaded``, run(1) runs on a thread of its own
+    while this one runs run(0); this returns or raises only once both have
+    finished, and an exception reaches the caller unchanged (run(0)'s, if
+    both raise)."""
+    if not threaded:
+        return [run(0), run(1)]
+    outcome = []  # run(1)'s (result, None), or (None, the exception it raised)
+
+    def other():
+        try:
+            outcome.append((run(1), None))
+        except BaseException as e:
+            outcome.append((None, e))
+
+    thread = threading.Thread(target=other, name="bilstm")
+    thread.start()
+    try:
+        first = run(0)
+    finally:
+        thread.join()
+    second, error = outcome.pop()
+    if error is not None:
+        raise error
+    return [first, second]
+
+
+def _lstm_forward(x: np.ndarray, at, active: list[int], w: np.ndarray, u: np.ndarray, b: np.ndarray,
+                  out: np.ndarray, keep: bool):
+    """One direction from a zero state over the rows ``at`` of x (positions, d),
+    which are packed time-major: step s takes the next ``active[s]``
+    positions, one per sentence still running (a non-increasing count), so
+    its sentences are the first ``active[s]`` of step s - 1's. Per step
+    pre = x W^T + b + h U^T, c = f * c + i * g, h = o * tanh(c), gates
+    (i, f, o, g); each h is written to its row of ``out`` (positions, H).
+
+    With ``keep`` it returns what ``_lstm_backward`` reads, one row per packed
+    position: the (N, d) inputs, the (N, 4H) gate activations, and the
+    (N, H) cells, tanh(cells) and states. Without, it returns None and holds
+    only the current c and h; from ``_PARALLEL_HIDDEN`` on, where the other
+    direction runs at the same time, it also projects the inputs a whole
+    tile of rows at a time as the steps reach them, not the whole sequence
+    at once.
     """
     hidden = u.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        acts = _mm(xp, _transposed(w))  # w's copy is freed here, u's held through the steps
-        acts += b
-    _check_finite(acts, "bilstm")
-    ut = _transposed(u)
-    cells, tcs, states = (np.empty((len(xp), hidden), dtype=xp.dtype) for _ in range(3))
-    h = c = np.zeros((active[0], hidden), dtype=xp.dtype)
-    lo = 0
+    wt, ut = _transposed(w), _transposed(u)
+    # from the threaded width on, an untaped call projects rows in whole tiles as
+    # the steps reach them, each row once; every other call, all rows at step 0
+    tiled = not keep and hidden >= _PARALLEL_HIDDEN
+    if keep:
+        kept = [np.empty((len(at), hidden), dtype=x.dtype) for _ in range(3)]
+    h = c = np.zeros((active[0], hidden), dtype=x.dtype)
+    lo = first = projected = 0  # acts holds the projections of rows first..projected
     for n in active:
         hi = lo + n
-        a = acts[lo:hi]
         with np.errstate(over="ignore", invalid="ignore"):
+            if hi > projected:
+                tiles = -(-(hi - projected) // _ROW_TILE)
+                end = min(len(at), projected + tiles * _ROW_TILE) if tiled else len(at)
+                xs = x[at[projected:end]]
+                more = _mm(xs, wt)
+                more += b
+                acts = np.concatenate([acts[lo - first :], more]) if lo < projected else more
+                first, projected = lo, end
+            a = acts[lo - first : hi - first]
             a += _mm(h[:n], ut)
         _check_finite(a, "bilstm")
         a[:, : 3 * hidden] = _sigmoid(a[:, : 3 * hidden])
         np.tanh(a[:, 3 * hidden :], out=a[:, 3 * hidden :])
         i, f, o, g = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
-        c = np.multiply(f, c[:n], out=cells[lo:hi])
+        cell, tc, state = (s[lo:hi] for s in kept) if keep else (None, None, None)
+        c = np.multiply(f, c[:n], out=cell)
         c += i * g
-        h = np.multiply(o, np.tanh(c, out=tcs[lo:hi]), out=states[lo:hi])
+        h = np.multiply(o, np.tanh(c, out=tc), out=state)
+        out[at[lo:hi]] = h
         lo = hi
-    return acts, cells, tcs, states
+    return (xs, acts, *kept) if keep else None
 
 
-def _lstm_backward(
-    dstates: np.ndarray, xp: np.ndarray, active: list[int], w: np.ndarray | None, u: np.ndarray, saved
-):
-    """Backpropagation through time for one direction over ``_lstm_forward``'s
-    packed layout: (dxp, dw, du, db), dxp (N, d) like xp, or None without ``w``."""
-    acts, cells, tcs, states = saved
+def _lstm_backward(dstates: np.ndarray, active: list[int], w: np.ndarray | None, u: np.ndarray, saved):
+    """Backpropagation through time for one direction over what ``_lstm_forward``
+    kept: (dxp, dw, du, db), dxp (N, d) like the packed inputs, or None without ``w``."""
+    xp, acts, cells, tcs, states = saved
     hidden = u.shape[1]
     dproj = np.empty_like(acts)
     h_prev = np.zeros_like(states)  # each position's state one step earlier
@@ -399,7 +462,9 @@ def bilstm(
 
     Rows are sorted by length, longest first, and each direction's real
     positions are packed time-major, so step s works on one contiguous block
-    of the rows still running and no step computes padding.
+    of the rows still running and no step computes padding. From
+    ``_PARALLEL_HIDDEN`` on, an untaped call runs the two directions on two
+    threads.
     """
     xd = x.data
     lengths = _check_lengths(xd.shape, lengths)
@@ -414,30 +479,29 @@ def bilstm(
     steps, pos = np.nonzero(lengths[order][None, :] > np.arange(t)[:, None])
     rows = order[pos]
     active = np.bincount(steps).tolist()  # rows still running at each step
-    # each direction's packed positions: (row, time) it reads and writes
-    where = ((rows, steps), (rows, lengths[rows] - 1 - steps))
+    # each direction's packed positions, as indices row * T + time of the rows
+    # of the input and output seen as (batch * T, features)
+    where = (rows * t + steps, rows * t + lengths[rows] - 1 - steps)
 
     out_d = np.zeros((bsz, t, 2 * hidden), dtype=xd.dtype)
-    saved = []
-    for k, (w, u, b) in enumerate((fwd, bwd)):
-        xp = xd[where[k]]
-        runs = _lstm_forward(xp, active, w.data, u.data, b.data)
-        out_d[(*where[k], slice(k * hidden, (k + 1) * hidden))] = runs[3]
-        if tape is not None:
-            saved.append((xp, runs))
-        del xp, runs  # so an untaped call holds one direction's arrays at a time
+    keep = tape is not None  # a bool: a closure holding the tape makes a cycle
+    frozen_x = keep and x in tape.frozen
 
-    frozen_x = tape is not None and x in tape.frozen  # a bool: a closure holding the tape makes a cycle
+    def forward(k):
+        w, u, b = (fwd, bwd)[k]
+        half = out_d.reshape(-1, 2 * hidden)[:, k * hidden : (k + 1) * hidden]
+        return _lstm_forward(xd.reshape(-1, d), where[k], active, w.data, u.data, b.data, half, keep)
+
+    saved = _each_direction(not keep and hidden >= _PARALLEL_HIDDEN, forward)
 
     def back(g):
-        dx = None if frozen_x else np.zeros_like(xd)  # a frozen input takes no gradient
+        dx = None if frozen_x else np.zeros(xd.shape, dtype=xd.dtype)  # a frozen input takes no gradient
         grads = []
         for k, (w, u, _) in enumerate((fwd, bwd)):
-            xp, runs = saved[k]
-            dstates = g[(*where[k], slice(k * hidden, (k + 1) * hidden))]
-            dxp, *dwub = _lstm_backward(dstates, xp, active, None if frozen_x else w.data, u.data, runs)
+            dstates = g.reshape(-1, 2 * hidden)[where[k], k * hidden : (k + 1) * hidden]
+            dxp, *dwub = _lstm_backward(dstates, active, None if frozen_x else w.data, u.data, saved[k])
             if dx is not None:
-                dx[where[k]] += dxp
+                dx.reshape(-1, d)[where[k]] += dxp  # dx is C order, so the reshape is a view
             grads += dwub
         return (dx, *grads)
 

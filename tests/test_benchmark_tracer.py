@@ -11,6 +11,8 @@ BiLSTM-max; a renamed, reordered or relaid parameter makes every
 
 import importlib.util
 import json
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +87,52 @@ def test_tracer_records_the_probe_and_gen_fakes_layers(tmp_path):
     recorded = {tracer.names[i] for i in tracer.spans()["name"]}
     assert {"probe.gen", "probe.fit_logistic", "fakegen.build_dataset", "fakegen.write_dataset",
             "corpus.load_corpus"} <= recorded
+
+
+def test_a_traced_run_on_two_threads_records_the_spans_of_a_sequential_one(monkeypatch):
+    # the tracer's span stack is not thread-safe: the worker thread must call
+    # nothing it wraps, so every span opens on the calling thread
+    tracing = load_perfbench("tracing")
+    rng = np.random.default_rng(3)
+    sentences = [Sentence(tuple(f"w{(k * n) % 9}" for k in range(n)), str(n)) for n in range(1, 80)]
+    vocab = build_vocab(sentences)
+    encoder = SentenceEncoder.create(vocab, init_embeddings(vocab, 4, rng), 3, rng)
+    model = DetectorModel.create(encoder, 4, 2, rng)
+    idx, lengths = encoder.prepare_batch(sentences[:8])
+    forward, lstm_threads = nc._lstm_forward, set()
+    monkeypatch.setattr(nc, "_lstm_forward", lambda *a: lstm_threads.add(threading.get_ident()) or forward(*a))
+    runs = []
+    for parallel_hidden in (encoder.hidden + 1, encoder.hidden):  # sequential, then threaded
+        monkeypatch.setattr(nc, "_PARALLEL_HIDDEN", parallel_hidden)
+        tracer, threads = tracing.Tracer(), set()
+        wrap = tracer.wrap
+
+        def on_thread(name, fn, after=None, wrap=wrap, threads=threads):
+            traced = wrap(name, fn, after)
+
+            def call(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return traced(*args, **kwargs)
+
+            return call
+
+        tracer.wrap = on_thread
+        tracer.install()
+        try:
+            tracer.set_phase("main")
+            encoder.encode_batch(sentences)
+            tape = nc.Tape()
+            loss, _ = model.batch_loss(tape, idx, lengths, np.arange(8) % 2)
+            nc.backward(tape, loss)
+        finally:
+            tracer.uninstall()
+        s = tracer.spans()
+        parents = [tracer.names[s["name"][p]] if p >= 0 else None for p in s["parent"]]
+        runs.append((Counter(zip((tracer.names[i] for i in s["name"]), parents)), threads))
+    (sequential, sequential_threads), (threaded, threaded_threads) = runs
+    assert threaded == sequential and sequential[("numcore.backward", None)] == 1
+    assert threaded_threads == sequential_threads == {threading.get_ident()}
+    assert len(lstm_threads) == 2  # the threaded run did use the worker
 
 
 def test_benchmark_checkpoint_reader_matches_the_model(tmp_path):

@@ -177,6 +177,12 @@ def test_divergence_first_found_by_validation_names_its_epoch(tmp_path):
     assert str(exc.value).startswith("epoch 1: ")
 
 
+def test_divergence_on_two_threads_still_names_its_epoch(monkeypatch, tmp_path):
+    # every untaped bilstm call, validation's among them, runs on two threads
+    monkeypatch.setattr(nc, "_PARALLEL_HIDDEN", 1)
+    test_divergence_first_found_by_validation_names_its_epoch(tmp_path)
+
+
 def test_train_is_reproducible(tmp_path):
     rng = np.random.default_rng(17)
     data = separable_dataset(120, rng)

@@ -1,4 +1,7 @@
 import inspect
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,6 +447,98 @@ def test_bilstm_computes_no_gradient_for_a_frozen_input():
     assert frozen and frozen_dx is None and frozen_table_grad is None
     for g, fg in zip(grads, frozen_grads):
         assert np.array_equal(g, fg)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilstm_on_two_threads_gives_the_sequential_bits(monkeypatch, dtype):
+    # 30 sentences of up to 11 words: projection tiles of 64 rows end mid-step
+    rng = np.random.default_rng(43)
+    hidden = nc._PARALLEL_HIDDEN
+    lengths = rng.integers(1, 12, size=30)
+    x = constant(rng.standard_normal((len(lengths), lengths.max(), 3)).astype(dtype))
+    params = bilstm_params(rng, 3, hidden, dtype, scale=1 / np.sqrt(hidden))
+    args = (x, lengths, tuple(params[:3]), tuple(params[3:]))
+    threads, forward = set(), nc._lstm_forward
+    monkeypatch.setattr(nc, "_lstm_forward", lambda *a: threads.add(threading.get_ident()) or forward(*a))
+    threaded = nc.bilstm(None, *args).data
+    assert len(threads) == 2  # the backward direction ran on a second thread
+    threads.clear()
+    nc.bilstm(nc.Tape(), *args)
+    assert threads == {threading.get_ident()}  # a taped call stays on one thread
+    monkeypatch.setattr(nc, "_PARALLEL_HIDDEN", hidden + 1)
+    sequential = nc.bilstm(None, *args).data
+    assert threaded.dtype == dtype and np.array_equal(threaded, sequential)
+
+
+@pytest.mark.parametrize("d, hidden", [(16, 32), (64, 256), (300, 512)])
+def test_untaped_bilstm_states_equal_the_taped_ones(d, hidden):
+    # from the threaded width on, an untaped call projects a tile of rows at a
+    # time; a taped one, and any call below that width, the whole sequence
+    rng = np.random.default_rng(47)
+    lengths = np.array([9, 3, 9, 1, 6, 4, 8])
+    x = constant(rng.standard_normal((len(lengths), 9, d)).astype(np.float32))
+    params = bilstm_params(rng, d, hidden, np.float32, scale=1 / np.sqrt(hidden))
+    args = (x, lengths, tuple(params[:3]), tuple(params[3:]))
+    assert np.array_equal(nc.bilstm(None, *args).data, nc.bilstm(nc.Tape(), *args).data)
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_a_failure_on_either_thread_is_raised_once_both_have_finished(monkeypatch, failing):
+    # one direction's recurrent product overflows at step 1 (see test_bilstm_overflow_raises);
+    # the worker's direction starts late, so the caller's is done long before it
+    rng = np.random.default_rng(53)
+    x, lengths = constant(np.ones((1, 2, 1))), np.array([2])
+    good = tuple(constant(0.5 * rng.standard_normal(s)) for s in ((8, 1), (8, 2), (8,)))
+    bad = (constant(np.full((8, 1), 50.0)), constant(np.full((8, 2), 1.5e308)), constant(np.zeros(8)))
+    fwd, bwd = (bad, good) if failing == "caller" else (good, bad)
+    monkeypatch.setattr(nc, "_PARALLEL_HIDDEN", 2)
+    caller, forward = threading.get_ident(), nc._lstm_forward
+    finished, raised = [], []
+
+    def spy(*args):
+        on_worker = threading.get_ident() != caller
+        try:
+            if on_worker:
+                time.sleep(0.2)
+            return forward(*args)
+        except NonFiniteValue as e:
+            raised.append(e)
+            raise
+        finally:
+            finished.append("worker" if on_worker else "caller")
+
+    monkeypatch.setattr(nc, "_lstm_forward", spy)
+    with pytest.raises(NonFiniteValue) as exc:
+        nc.bilstm(None, x, lengths, fwd, bwd)
+    assert raised == [exc.value]
+    assert finished == ["caller", "worker"]
+    # the next call works, on both threads, and gives the sequential bits
+    again = nc.bilstm(None, x, lengths, good, good).data
+    assert finished[2:] == ["caller", "worker"]
+    monkeypatch.setattr(nc, "_PARALLEL_HIDDEN", 3)
+    assert np.array_equal(again, nc.bilstm(None, x, lengths, good, good).data)
+
+
+def test_an_untaped_bilstm_keeps_no_array_a_backward_would_read():
+    # paper shape: the call holds its output, each direction's transposed weights
+    # and a few arrays of a tile's rows, never a (positions, 4H) projection; the
+    # sequential whole-sequence pass peaked at 32.3 MiB here, this bound is 28.2
+    rng = np.random.default_rng(59)
+    d, hidden, bsz = 300, 512, 64
+    lengths = rng.integers(10, 31, size=bsz)
+    x = constant(rng.standard_normal((bsz, lengths.max(), d)).astype(np.float32))
+    params = bilstm_params(rng, d, hidden, np.float32, scale=1 / np.sqrt(hidden))
+    args = (x, lengths, tuple(params[:3]), tuple(params[3:]))
+    nc.bilstm(None, *args)  # BLAS buffers exist before the count starts
+    tracemalloc.start()
+    try:
+        out = nc.bilstm(None, *args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    weights = sum(p.data.nbytes for p in params)
+    step = bsz * 4 * hidden * out.data.itemsize
+    assert peak < out.data.nbytes + weights + 16 * step
 
 
 @pytest.mark.parametrize("name, args", [("narrow", (1, 2)), ("pick", (1,))])
